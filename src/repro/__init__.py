@@ -44,7 +44,7 @@ from .resilience import FaultPlan, resilient_components
 from .service import BatchPolicy, ConnectivityService
 from .shard import ShardedExecutor, sharded_cc
 
-__version__ = "2.3.0"
+__version__ = "2.4.0"
 
 __all__ = [
     "connected_components",

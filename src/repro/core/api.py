@@ -8,9 +8,6 @@ a :class:`BackendSpec` (runner + option schema).  The built-in entries:
 ``"numpy"``
     Vectorized frontier-shrinking variant; fastest natively, use for
     medium/large graphs.
-``"numpy-dense"``
-    The pre-frontier bulk-synchronous formulation, kept as the wall-clock
-    benchmark baseline and work-inefficiency ablation.
 ``"gpu"``
     The full five-kernel ECL-CC on the simulated GPU (Titan X by
     default).  Slow in wall-clock terms but faithful to the paper's
@@ -55,6 +52,7 @@ import numpy as np
 from ..errors import UnknownBackendError, UnknownOptionError
 from ..graph.csr import CSRGraph
 from ..observe import current_tracer
+from ..shard.worker import SHARD_BACKENDS
 from .result import CCResult
 
 __all__ = [
@@ -195,7 +193,6 @@ def connected_components(
     *,
     backend: str = "numpy",
     full_result: bool | None = None,
-    legacy_tuple: bool = False,
     resilient: bool = False,
     **options,
 ):
@@ -214,12 +211,6 @@ def connected_components(
         default return.  Pass ``full_result=False`` to get just the label
         array; ``full_result=True`` is accepted for compatibility and
         identical to the default.
-    legacy_tuple:
-        Escape hatch for code still written against the pre-``CCResult``
-        ``(labels, stats)`` shape: the returned result permits tuple
-        unpacking for one final release (each unpack emits
-        :class:`DeprecationWarning`).  Without it, unpacking a
-        :class:`CCResult` raises :class:`TypeError`.
     resilient:
         Run under the :mod:`repro.resilience` supervisor: watchdogged
         attempts, checkpointed retry, and graceful degradation from
@@ -250,7 +241,6 @@ def connected_components(
             graph,
             backends=chain,
             full_result=full_result,
-            legacy_tuple=legacy_tuple,
             **options,
         )
     spec = get_backend(backend)
@@ -271,7 +261,6 @@ def connected_components(
     wall_ms = (time.perf_counter() - t0) * 1e3
     result = _normalize(raw, backend, wall_ms)
     result.timings.setdefault("wall_ms", wall_ms)
-    result.legacy_tuple = legacy_tuple
     if tracer.enabled:
         result.trace = tracer.spans[mark:]
     return result.labels if full_result is False else result
@@ -320,20 +309,6 @@ def _run_numpy(graph: CSRGraph, **options) -> CCResult:
     return CCResult(
         labels=labels,
         backend="numpy",
-        stats=stats,
-        timings={"total_ms": wall_ms, "wall_ms": wall_ms},
-    )
-
-
-def _run_numpy_dense(graph: CSRGraph, **options) -> CCResult:
-    from .ecl_cc_numpy import ecl_cc_numpy_dense
-
-    t0 = time.perf_counter()
-    labels, stats = ecl_cc_numpy_dense(graph, **options)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return CCResult(
-        labels=labels,
-        backend="numpy-dense",
         stats=stats,
         timings={"total_ms": wall_ms, "wall_ms": wall_ms},
     )
@@ -455,12 +430,6 @@ register_backend(
     options={"init": OptionSpec("initialization variant", _INIT_CHOICES)},
 )
 register_backend(
-    "numpy-dense",
-    _run_numpy_dense,
-    description="pre-frontier bulk-synchronous formulation (benchmark baseline)",
-    options={"init": OptionSpec("initialization variant", _INIT_CHOICES)},
-)
-register_backend(
     "gpu",
     _run_gpu,
     description="five-kernel ECL-CC on the simulated GPU",
@@ -526,7 +495,7 @@ register_backend(
         ),
         "shard_backend": OptionSpec(
             "backend run on each shard's induced subgraph",
-            ("numpy", "contract", "serial", "fastsv", "numpy-dense"),
+            SHARD_BACKENDS,
         ),
         "min_parallel": OptionSpec(
             "arc count below which shards run inline (default 200_000)"
@@ -571,7 +540,7 @@ register_backend(
         ),
         "shard_backend": OptionSpec(
             "backend run on each streamed shard's induced subgraph",
-            ("numpy", "contract", "serial", "fastsv", "numpy-dense"),
+            SHARD_BACKENDS,
         ),
         "fault_plan": OptionSpec(
             "repro.resilience FaultPlan; backend='oocore' specs arm "
@@ -599,7 +568,7 @@ register_backend(
         ),
         "shard_backend": OptionSpec(
             "backend each host runs on its shard's induced subgraph",
-            ("numpy", "contract", "serial", "fastsv", "numpy-dense"),
+            SHARD_BACKENDS,
         ),
         "fault_plan": OptionSpec(
             "repro.resilience FaultPlan; backend='dist' specs arm "

@@ -5,18 +5,13 @@ data-parallel NumPy formulation cannot transcribe Fig. 5/6 literally.
 This backend keeps ECL-CC's two defining label conventions — enhanced
 initialization (Init1-3) and hooking the larger representative under the
 smaller — and replaces the asynchronous interleaving with bulk-synchronous
-rounds over a **shrinking edge frontier**:
-
-1. resolve the frontier's endpoints to current representatives and keep
-   only still-unmerged edges, deduplicated to unique representative
-   pairs (:func:`repro.core.frontier.unique_pairs`);
-2. hook every target under its smallest contender with one buffered
-   segment minimum (:func:`repro.core.frontier.segment_min_hook` — a
-   valid serialization of the CAS races, replacing the scalar-loop
-   ``np.minimum.at``);
-3. pointer-double only the frontier's own representatives
-   (:func:`repro.core.frontier.flatten_subset`) instead of all n
-   vertices, then a single active-set flatten at the end.
+rounds over a **shrinking edge frontier**, all run by
+:func:`repro.core.frontier.hook_until_fixpoint` (the hook loop shared
+with the sharded, out-of-core and incremental paths): resolve the
+frontier's endpoints to current representatives, keep only still-unmerged
+edges, hook every larger representative under its smallest contender (a
+valid serialization of the CAS races), re-resolve, and repeat; a single
+active-set flatten at the end points every vertex at its root.
 
 Work per round is proportional to the surviving frontier — which on
 high-diameter inputs collapses by orders of magnitude after the first
@@ -38,7 +33,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..observe import current_tracer
-from .frontier import flatten_active, flatten_subset, segment_min_hook, unique_pairs
+from .frontier import flatten_active, hook_until_fixpoint
 from .variants import init_vectorized
 
 __all__ = ["NumpyRunStats", "ecl_cc_numpy", "ecl_cc_numpy_dense"]
@@ -50,10 +45,10 @@ class NumpyRunStats:
 
     ``doubling_passes`` counts only passes that changed ``parent`` (the
     terminal no-change comparison of the old formulation is not a pass).
-    ``frontier_sizes[i]`` is the number of unique representative pairs
-    hooked in round ``i``; ``edges_scanned`` totals the pair evaluations
-    across rounds (the work the dense formulation would have spent
-    ``m * hook_rounds`` on).
+    ``frontier_sizes[i]`` is the number of representative pairs hooked
+    in round ``i`` (deduplicated when the round ran sparse);
+    ``edges_scanned`` totals the pair evaluations across rounds (the
+    work the dense formulation would have spent ``m * hook_rounds`` on).
     """
 
     hook_rounds: int = 0
@@ -80,49 +75,12 @@ def ecl_cc_numpy(
         return parent, stats
     with tracer.span("numpy:hook-rounds", category="core.numpy") as sp:
         u, v = graph.edge_array()  # each undirected edge exactly once
-        # Resolve the init forest once so the first frontier is built from
-        # true representatives; later flattens touch only active vertices.
-        flatten_active(parent, stats)
-        ru = parent[u]
-        rv = parent[v]
-        stats.edges_scanned += u.size
-        alive = ru != rv
-        hi, lo = unique_pairs(
-            np.maximum(ru[alive], rv[alive]),
-            np.minimum(ru[alive], rv[alive]),
-            n,
-        )
-        while hi.size:
-            stats.hook_rounds += 1
-            stats.frontier_sizes.append(int(hi.size))
-            stats.edges_scanned += int(hi.size)
-            if traced:
-                tracer.gauge("numpy.frontier_edges", float(hi.size))
-                tracer.count("numpy.edges_hooked", float(hi.size))
-            # Hook larger representatives under the smallest contender;
-            # both arrays hold representatives from the previous round's
-            # resolution, so every write targets a (then-)root.
-            segment_min_hook(parent, hi, lo)
-            # Any chain formed by this round's hooks runs entirely
-            # through frontier representatives, so doubling restricted
-            # to them fully resolves the frontier.  Duplicates between
-            # hi and lo are harmless (gathers and the doubling scatter
-            # are idempotent), so no dedup pass is needed.
-            frontier_vertices = np.concatenate((hi, lo))
-            if traced:
-                tracer.gauge(
-                    "numpy.active_vertices", float(frontier_vertices.size)
-                )
-            flatten_subset(parent, frontier_vertices, stats)
-            ru = parent[hi]
-            rv = parent[lo]
-            alive = ru != rv
-            hi, lo = unique_pairs(
-                np.maximum(ru[alive], rv[alive]),
-                np.minimum(ru[alive], rv[alive]),
-                n,
-            )
+        hook_until_fixpoint(parent, u, v, stats=stats)
         if traced:
+            for size in stats.frontier_sizes:
+                tracer.gauge("numpy.frontier_edges", float(size))
+                tracer.count("numpy.edges_hooked", float(size))
+                tracer.gauge("numpy.active_vertices", float(2 * size))
             tracer.gauge("numpy.frontier_edges", 0.0)
         # Point every vertex (not just frontier members) at its root.
         flatten_active(parent, stats)

@@ -26,6 +26,12 @@ the GPU*) eliminate.  This module is the shared work-proportional engine:
   restricted to a vertex subset / to the active vertex set (vertices
   whose parent is not a root), with a size-based convergence test
   instead of a full-array ``np.array_equal`` comparison.
+* :func:`hook_until_fixpoint` — the hook loop built from the above, the
+  single copy under the ``numpy`` backend, the sharded and out-of-core
+  boundary merges and :class:`~repro.extensions.incremental.
+  IncrementalConnectivity`; each round picks a dense (scatter +
+  whole-array flatten) or sparse (dedup + segment minimum + subset
+  flatten) regime from its measured live-pair count.
 
 All helpers preserve the library-wide min-label invariant: parent values
 only ever decrease, stay inside the owning component, and the minimum
@@ -49,6 +55,7 @@ __all__ = [
     "segment_min_hook",
     "flatten_subset",
     "flatten_active",
+    "hook_until_fixpoint",
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -177,3 +184,108 @@ def flatten_active(parent: np.ndarray, stats=None) -> np.ndarray:
         active = active[moved]
         parent[active] = target[moved]
     return parent
+
+
+#: Live pairs per vertex at or above which a hook round runs in the
+#: dense regime.  Set from the ``perfbench`` graph families (first-round
+#: live pairs as a multiple of n, before dedup):
+#:
+#: * static ``numpy`` solves, from the flattened Init3 forest: grid
+#:   0.10n, road 0.02n and road-sparse 0.01n run sparse throughout;
+#:   Delaunay 1.38n, community 2.8n, RMAT 7.2n and Kronecker 10.8n run
+#:   their first round dense and the rest sparse; dense-PA has no live
+#:   pair left after Init3.
+#: * seeding from the identity forest (``IncrementalConnectivity``, the
+#:   service's start-up): every batch starts at m/n live pairs —
+#:   road-sparse 1.05n, road 1.35n, grid 1.96n, Delaunay 3.0n, up to
+#:   dense-PA 27.7n — so every first round runs dense.
+#:
+#: Higher cutoffs send identity-forest seeding down the sparse path,
+#: 3-5x slower: its first hooks build chains as long as a mesh row, and
+#: doubling them over the gathered pair endpoints costs several
+#: contiguous whole-array passes.  Lower cutoffs send the small static
+#: mesh frontiers through O(n) passes.  The cutoff must also stay >= 1:
+#: the out-of-core merge charges 64 bytes per pair of a chunk, which then
+#: covers the dense regime's n-sized temporaries.
+DENSE_PAIRS_PER_VERTEX = 1
+
+
+def hook_until_fixpoint(
+    parent: np.ndarray, u: np.ndarray, v: np.ndarray, *, stats=None
+) -> int:
+    """Hook the edges ``(u, v)`` into the decreasing forest ``parent``
+    until no edge spans two roots; returns the number of hooks made.
+
+    ``parent`` is updated in place and may start non-flat (any forest
+    with ``parent[x] <= x``); the batch may hold duplicates and
+    self-loops.  The batch's endpoints are resolved to their roots (by
+    doubling over the endpoints alone, or by one whole-array flatten
+    once they number at least n), then two steps repeat until every
+    pair is inside one tree: hook each larger root under its smallest
+    contender (a valid serialization of ECL-CC's CAS races, see
+    :func:`segment_min_hook`), then re-resolve the pairs.  On return every endpoint points directly at its root;
+    other vertices may still point at interior vertices, so callers
+    that need labels finish with :func:`flatten_active`.
+
+    Each round picks its regime from the live-pair count it measures
+    (never a caller option), like FastSV's wide/narrow switch:
+
+    * **dense** — at least ``DENSE_PAIRS_PER_VERTEX * n`` live pairs:
+      one unbuffered ``np.minimum.at`` scatter, then a whole-array
+      :func:`flatten_active`.  No sort; the O(n) passes are amortized
+      over at least as many pairs.
+    * **sparse** — fewer: :func:`unique_pairs` dedup,
+      :func:`segment_min_hook`, then :func:`flatten_subset` over the
+      round's pairs only, so work follows the shrinking frontier.
+
+    Every hook replaces a root's parent with a smaller root, so the
+    returned count equals the drop in the number of roots.  ``stats``
+    (duck-typed, e.g. :class:`~repro.core.ecl_cc_numpy.NumpyRunStats`)
+    receives ``hook_rounds``, ``frontier_sizes`` (pairs hooked per
+    round, deduplicated in the sparse regime; non-increasing),
+    ``edges_scanned`` (pair resolutions) and ``doubling_passes``.
+    """
+    n = parent.size
+    if u.size == 0:
+        return 0
+    cutoff = DENSE_PAIRS_PER_VERTEX * n
+    if 2 * u.size >= n:
+        flatten_active(parent, stats)
+    else:
+        flatten_subset(parent, np.concatenate((u, v)), stats)
+    ru = parent[u]
+    rv = parent[v]
+    if stats is not None:
+        stats.edges_scanned += int(u.size)
+    hooks = 0
+    while True:
+        alive = ru != rv
+        live = int(np.count_nonzero(alive))
+        if live == 0:
+            return hooks
+        ru = ru[alive]
+        rv = rv[alive]
+        hi = np.maximum(ru, rv)
+        lo = np.minimum(ru, rv)
+        if live >= cutoff:
+            # Every target is a root and every contender smaller, so
+            # each distinct target is hooked exactly once.
+            touched = np.zeros(n, dtype=bool)
+            touched[hi] = True
+            hooks += int(np.count_nonzero(touched))
+            np.minimum.at(parent, hi, lo)
+            flatten_active(parent, stats)
+        else:
+            hi, lo = unique_pairs(hi, lo, n)
+            live = int(hi.size)
+            hooks += int(segment_min_hook(parent, hi, lo).size)
+            # Chains formed by this round's hooks run entirely through
+            # the round's representatives, so doubling restricted to
+            # them resolves the frontier.
+            flatten_subset(parent, np.concatenate((hi, lo)), stats)
+        if stats is not None:
+            stats.hook_rounds += 1
+            stats.frontier_sizes.append(live)
+            stats.edges_scanned += live
+        ru = parent[hi]
+        rv = parent[lo]

@@ -10,9 +10,7 @@ active), and the backend name.
 :class:`CCResult` is now the *default* return of
 :func:`repro.connected_components` (pass ``full_result=False`` for just
 the label array).  Tuple unpacking — ``labels, stats = result`` — has
-completed its deprecation cycle: it raises :class:`TypeError` unless the
-call opted in with ``legacy_tuple=True``, in which case it still works
-for one final release and emits :class:`DeprecationWarning`.  The object
+completed its deprecation cycle and raises :class:`TypeError`.  The object
 coerces to its label array under :func:`numpy.asarray` (so
 ``np.array_equal(result, reference)`` and friends keep working), and
 attribute access falls through to the native ``stats`` object, so
@@ -22,7 +20,6 @@ written against ``GpuRunResult`` / ``CpuRunResult``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -43,9 +40,6 @@ class CCResult:
     # Recovery history (repro.resilience RecoveryInfo) when the run went
     # through the resilient supervisor; None for direct runs.
     recovery: Any = None
-    # Escape hatch: permit (deprecated) tuple unpacking for one release.
-    # Set only by connected_components(..., legacy_tuple=True).
-    legacy_tuple: bool = field(default=False, repr=False, compare=False)
 
     # -- uniform accessors ----------------------------------------------
     @property
@@ -70,22 +64,11 @@ class CCResult:
             return arr.copy()
         return arr
 
-    # -- deprecation shims ----------------------------------------------
     def __iter__(self) -> Iterator:
-        if not self.legacy_tuple:
-            raise TypeError(
-                "tuple unpacking of a CCResult is no longer supported; use "
-                "result.labels / result.stats, or pass legacy_tuple=True to "
-                "connected_components() for one final release"
-            )
-        warnings.warn(
-            "tuple unpacking of connected_components(..., legacy_tuple=True) "
-            "is deprecated and will be removed next release; use "
-            "result.labels / result.stats instead",
-            DeprecationWarning,
-            stacklevel=2,
+        raise TypeError(
+            "tuple unpacking of a CCResult is no longer supported; use "
+            "result.labels / result.stats"
         )
-        return iter((self.labels, self.stats))
 
     def __getattr__(self, name: str):
         # Fall through to the backend-native stats object so pre-CCResult

@@ -10,12 +10,13 @@ machinery as ECL-CC.
 
 Two insertion granularities are offered.  :meth:`~IncrementalConnectivity.
 add_edge` is the scalar path (one find+hook per call);
-:meth:`~IncrementalConnectivity.add_edges` absorbs a whole batch with the
-vectorized hook-and-flatten rounds of the frontier backends — flatten the
-parent array by pointer doubling, hook every still-unmerged batch edge
-with ``np.minimum.at``, repeat until the batch is absorbed.  Batches
-below :data:`VECTOR_THRESHOLD` fall back to the scalar loop, which is
-cheaper than paying an O(n) flatten for a handful of edges.
+:meth:`~IncrementalConnectivity.add_edges` absorbs a whole batch in place
+with :func:`repro.core.frontier.hook_until_fixpoint`, the same hook loop
+the static ``numpy`` backend runs (one engine for static and incremental
+connectivity, as in Hong/Dhulipala/Shun), then flattens the parent array
+so later finds are depth-one.  Batches below :data:`VECTOR_THRESHOLD`
+fall back to the scalar loop, which is cheaper than paying an O(n)
+flatten for a handful of edges.
 :class:`repro.service.ConnectivityService` builds its micro-batched
 mutation path on ``add_edges``.
 """
@@ -24,30 +25,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.frontier import flatten_active, hook_until_fixpoint
 from ..graph.csr import CSRGraph
 from ..unionfind.variants import FIND_VARIANTS
 
-__all__ = ["IncrementalConnectivity", "VECTOR_THRESHOLD", "flatten_parents"]
+__all__ = ["IncrementalConnectivity", "VECTOR_THRESHOLD"]
 
 #: Batches smaller than this are applied with the scalar per-edge loop:
-#: the vectorized path pays an O(n) parent flatten up front, which only
+#: the vectorized path finishes with an O(n) parent flatten, which only
 #: amortizes once the batch carries enough edges.
 VECTOR_THRESHOLD = 32
-
-
-def flatten_parents(parent: np.ndarray) -> np.ndarray:
-    """Fully flatten a decreasing-chain parent array by pointer doubling.
-
-    Returns a new array with ``out[v]`` = root of ``v`` (the component's
-    minimum member, given the point-larger-at-smaller hooking invariant
-    every structure in this library maintains).  Converges in
-    O(log max-depth) vectorized passes.
-    """
-    while True:
-        grandparent = parent[parent]
-        if np.array_equal(grandparent, parent):
-            return grandparent
-        parent = grandparent
 
 
 class IncrementalConnectivity:
@@ -108,9 +95,9 @@ class IncrementalConnectivity:
 
         ``u`` and ``v`` are equal-length array-likes of endpoints.
         Duplicate edges and self-loops are permitted no-ops, exactly as
-        in the scalar path.  Large batches run the vectorized
-        hook-and-flatten rounds; batches below :data:`VECTOR_THRESHOLD`
-        use the scalar loop.
+        in the scalar path.  Large batches are hooked in place by
+        :func:`~repro.core.frontier.hook_until_fixpoint`; batches below
+        :data:`VECTOR_THRESHOLD` use the scalar loop.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -129,24 +116,10 @@ class IncrementalConnectivity:
             return sum(self.add_edge(int(a), int(b)) for a, b in zip(u, v))
 
         self._edges_added += int(u.size)
-        before = self._num_components
-        parent = flatten_parents(self.parent)
-        while True:
-            ru = parent[u]
-            rv = parent[v]
-            unmerged = ru != rv
-            if not unmerged.any():
-                break
-            hi = np.maximum(ru[unmerged], rv[unmerged])
-            lo = np.minimum(ru[unmerged], rv[unmerged])
-            np.minimum.at(parent, hi, lo)
-            parent = flatten_parents(parent)
-        self.parent = parent
-        # parent is fully flat here, so roots are exactly the fixpoints.
-        self._num_components = int(
-            np.count_nonzero(parent == np.arange(n, dtype=np.int64))
-        )
-        return before - self._num_components
+        merges = hook_until_fixpoint(self.parent, u, v)
+        flatten_active(self.parent)
+        self._num_components -= merges
+        return merges
 
     def reset_from_labels(self, labels: np.ndarray) -> None:
         """Overwrite the structure from a canonical label array (e.g. a
@@ -188,6 +161,6 @@ class IncrementalConnectivity:
 
     def labels(self) -> np.ndarray:
         """Snapshot label array, identical in convention to
-        :func:`repro.connected_components` output (vectorized flatten;
-        the live parent array is left untouched)."""
-        return flatten_parents(self.parent)
+        :func:`repro.connected_components` output (vectorized flatten of
+        a copy; the live parent array is left untouched)."""
+        return flatten_active(self.parent.copy())

@@ -26,7 +26,10 @@ alongside the payload:
 :data:`MERGE_WORK_FACTOR`
     A merge chunk of P boundary pairs charges ``P * 16 * factor``.  The
     factor (4) covers the loaded pair block, the gathered roots, the
-    hi/lo split, and the dedup sort key.
+    hi/lo split, and the dedup sort key.  A chunk only switches the hook
+    loop to whole-array flattens and scatters once it holds at least
+    n/2 pairs, so those O(n) temporaries (under 32 bytes per vertex)
+    fit inside the same charge.
 
 The factors are deliberately conservative; the gate records the
 *charged* peak, so a future change that grows a transient array without

@@ -17,11 +17,10 @@ under an explicit ``memory_budget``:
    the parent array is checkpointed atomically and ``RESUME.json``
    updated, so a crash mid-stream loses at most one shard of work.
 3. **merge** — the boundary arcs are re-read from disk in bounded-size
-   chunks and hooked into the parent array with the same
-   dedupe/segment-min primitives the in-memory shard runner uses.
-   Because one pass over chunk-local information may leave hooks
-   transitively incomplete, passes repeat until a full pass makes zero
-   hooks; hooking only ever replaces a root's parent with a smaller
+   chunks, and each chunk is hooked into the parent array by
+   :func:`repro.core.frontier.hook_until_fixpoint`, the loop the
+   in-memory shard runner uses.  Passes repeat until a full pass makes
+   zero hooks; hooking only ever replaces a root's parent with a smaller
    same-component member, so the chunked loop converges to exactly the
    labels :func:`repro.shard.runner.merge_boundary` would produce in
    memory — which are bit-identical to the serial oracle's.
@@ -61,12 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.frontier import (
-    flatten_active,
-    flatten_subset,
-    segment_min_hook,
-    unique_pairs,
-)
+from ..core.frontier import flatten_active, hook_until_fixpoint
 from ..errors import (
     GraphValidationError,
     MergeCrashError,
@@ -730,19 +724,9 @@ def _oocore_run(
                         "merge-chunk", count * PAIR_BYTES * MERGE_WORK_FACTOR
                     ):
                         block = np.asarray(mm[off * 2 : (off + count) * 2])
-                        u = block[0::2].copy()
-                        v = block[1::2].copy()
-                        flatten_subset(labels, u)
-                        flatten_subset(labels, v)
-                        ru, rv = labels[u], labels[v]
-                        hi = np.maximum(ru, rv)
-                        lo = np.minimum(ru, rv)
-                        live = hi != lo
-                        if not live.any():
-                            continue
-                        hi, lo = unique_pairs(hi[live], lo[live], n)
-                        changed = segment_min_hook(labels, hi, lo)
-                        hooks += int(changed.size)
+                        hooks += hook_until_fixpoint(
+                            labels, block[0::2], block[1::2]
+                        )
                 del mm
             sp.update(hooks=hooks)
         stats.merge_hooks += hooks

@@ -194,7 +194,6 @@ def resilient_components(
     verify: bool | str = "auto",
     health: BackendHealth | None = None,
     full_result: bool | None = None,
-    legacy_tuple: bool = False,
     **options,
 ):
     """Compute connected components under supervision.
@@ -231,9 +230,8 @@ def resilient_components(
     Returns the full :class:`~repro.core.result.CCResult` (with
     ``result.recovery``) by default, or just the label array when
     ``full_result=False`` — mirroring
-    :func:`repro.connected_components`, including the ``legacy_tuple``
-    escape hatch.  Raises :class:`ResilienceExhaustedError` when every
-    backend fails.
+    :func:`repro.connected_components`.  Raises
+    :class:`ResilienceExhaustedError` when every backend fails.
     """
     chain = DEFAULT_CHAIN if backends is None else tuple(backends)
     if not chain:
@@ -362,7 +360,6 @@ def resilient_components(
                 recovery.backend = backend
                 health.record_success(backend)
                 result.recovery = recovery
-                result.legacy_tuple = legacy_tuple
                 return result.labels if full_result is False else result
             if bi + 1 < len(chain):
                 recovery.fallbacks += 1

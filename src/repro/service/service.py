@@ -58,9 +58,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import QueueFullError
-from ..extensions.incremental import IncrementalConnectivity, flatten_parents
+from ..core.frontier import flatten_active
+from ..extensions.incremental import IncrementalConnectivity
 from ..graph.csr import CSRGraph
-from ..observe import current_tracer
+from ..observe import current_tracer, use_tracer
 from .store import EdgeStore
 
 __all__ = [
@@ -255,7 +256,7 @@ class ComponentSnapshot:
         """The full canonical label array (read-only; materialized once
         per snapshot with the vectorized flatten, then cached)."""
         if not self._complete:
-            flat = flatten_parents(self._parent)
+            flat = flatten_active(self._parent.copy())
             flat.setflags(write=False)
             self._cache = flat
             self._complete = True
@@ -562,7 +563,10 @@ class ConnectivityService:
                 if not self._pending:
                     continue
                 batch = self._drain_locked()
-            self._apply_batch(batch)
+            # A new thread starts with a fresh contextvars context, so
+            # install the captured tracer for the backends' own spans.
+            with use_tracer(self._tracer):
+                self._apply_batch(batch)
 
     # -- batch application ----------------------------------------------
     def _apply_batch(self, batch: list) -> None:

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.frontier import flatten_active, flatten_subset, segment_min_hook, unique_pairs
+from ..core.ecl_cc_numpy import NumpyRunStats
+from ..core.frontier import flatten_active, hook_until_fixpoint
 from ..core.result import CCResult
 from ..graph.csr import (
     CSRGraph,
@@ -118,35 +119,18 @@ def merge_boundary(
 ) -> np.ndarray:
     """Merge shard-local min-member labels across boundary arcs.
 
-    ``labels`` is mutated in place and returned.  Each round flattens
-    the boundary endpoints, gathers their current roots, dedupes the
-    ``(hi, lo)`` root pairs, and hooks every larger root under its
-    smallest contender — exactly the frontier formulation's hook step,
-    so the same benign-race serialization argument applies.  Each round
-    strictly decreases at least one root (hi is a flattened root, so a
-    surviving ``hi != lo`` pair implies ``parent[hi] = hi > lo``);
-    convergence is geometric in practice.  The final
-    :func:`flatten_active` resolves every vertex to its global
+    ``labels`` is mutated in place and returned.  The boundary arcs are
+    hooked to a fixpoint by
+    :func:`~repro.core.frontier.hook_until_fixpoint` (the frontier
+    formulation's hook loop, so the same benign-race serialization
+    argument applies; ``stats.merge_rounds`` counts its hook rounds), and
+    the final :func:`flatten_active` resolves every vertex to its global
     component minimum.
     """
-    if boundary_u.size:
-        n = labels.size
-        endpoints = np.unique(np.concatenate([boundary_u, boundary_v]))
-        while True:
-            flatten_subset(labels, endpoints)
-            lu = labels[boundary_u]
-            lv = labels[boundary_v]
-            hi = np.maximum(lu, lv)
-            lo = np.minimum(lu, lv)
-            live = hi != lo
-            if not live.any():
-                break
-            hi, lo = unique_pairs(hi[live], lo[live], n)
-            changed = segment_min_hook(labels, hi, lo)
-            if stats is not None:
-                stats.merge_rounds += 1
-            if changed.size == 0:  # defensive: cannot happen post-flatten
-                break
+    rounds = NumpyRunStats()
+    hook_until_fixpoint(labels, boundary_u, boundary_v, stats=rounds)
+    if stats is not None:
+        stats.merge_rounds += rounds.hook_rounds
     flatten_active(labels)
     return labels
 

@@ -31,7 +31,7 @@ __all__ = ["shard_worker", "solve_csr_slice", "solve_shard_local"]
 #: Backends a shard may run locally.  Deliberately excludes "sharded"
 #: (no recursive process trees) and the simulated-hardware backends,
 #: whose modeled clocks are meaningless inside a wall-clock shard.
-SHARD_BACKENDS = ("numpy", "contract", "serial", "fastsv", "numpy-dense")
+SHARD_BACKENDS = ("numpy", "contract", "serial", "fastsv")
 
 
 def solve_shard_local(

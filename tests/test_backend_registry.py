@@ -109,15 +109,6 @@ class TestCCResultParity:
         with pytest.raises(TypeError, match="tuple unpacking"):
             labels, stats = res
 
-    def test_tuple_unpacking_with_legacy_opt_in(self, path_graph):
-        res = connected_components(
-            path_graph, backend="serial", legacy_tuple=True
-        )
-        with pytest.warns(DeprecationWarning, match="tuple unpacking"):
-            labels, stats = res
-        assert np.array_equal(labels, res.labels)
-        assert stats is res.stats
-
 
 class TestOptionValidation:
     def test_typo_raises_unknown_option(self, path_graph):

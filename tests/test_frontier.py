@@ -1,16 +1,23 @@
 """Unit and property tests for the frontier-shrinking primitives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import frontier
+from repro.core.ecl_cc_numpy import NumpyRunStats
+from repro.core.ecl_cc_serial import ecl_cc_serial
 from repro.core.frontier import (
     flatten_active,
     flatten_subset,
+    hook_until_fixpoint,
     segment_min_hook,
     unique_pairs,
 )
+from repro.graph.build import from_edges
 
 
 def _flatten_reference(parent):
@@ -193,3 +200,105 @@ class TestDegenerateInputs:
         out = flatten_active(parent.copy(), stats)
         assert out.tolist() == parent.tolist()
         assert stats.doubling_passes == 0
+
+
+@st.composite
+def forest_and_batch(draw, max_n=48):
+    """A random non-flat decreasing forest plus a batch whose first-round
+    live-pair count sits below, exactly at, or just past the dense
+    cutoff (or anywhere, for ``"free"``).  The batch mixes live pairs
+    (repeated to reach the target count), self-loops and pairs inside
+    one tree, in a random order."""
+    parent = draw(parent_forests(max_n).filter(lambda p: p.size >= 2))
+    n = parent.size
+    roots = _flatten_reference(parent)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=3 * n,
+        )
+    )
+    live = [(a, b) for a, b in pairs if roots[a] != roots[b]]
+    dead = [(a, b) for a, b in pairs if roots[a] == roots[b]]
+    mode = draw(st.sampled_from(["free", "below", "at", "above"]))
+    if mode != "free" and live:
+        cut = math.ceil(frontier.DENSE_PAIRS_PER_VERTEX * n)
+        target = max(1, cut + {"below": -1, "at": 0, "above": 1}[mode])
+        live = [live[i % len(live)] for i in range(target)]
+    batch = live + dead + [(a, a) for a, _ in pairs[:3]]
+    order = draw(st.permutations(range(len(batch))))
+    batch = [batch[i] for i in order]
+    u = np.asarray([a for a, _ in batch], dtype=np.int64)
+    v = np.asarray([b for _, b in batch], dtype=np.int64)
+    return parent, u, v
+
+
+def _union_oracle(parent, u, v):
+    """Serial-oracle labels of the forest's edges plus the batch."""
+    n = parent.size
+    edges = [(x, int(parent[x])) for x in range(n)]
+    edges += list(zip(u.tolist(), v.tolist()))
+    labels, _ = ecl_cc_serial(from_edges(edges, num_vertices=n))
+    return labels
+
+
+class TestHookUntilFixpoint:
+    @given(forest_and_batch())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_serial_oracle_of_the_union(self, case):
+        parent, u, v = case
+        expected = _union_oracle(parent, u, v)
+        roots = _flatten_reference(parent)
+        live = roots[u] != roots[v]
+        distinct = {
+            (max(a, b), min(a, b))
+            for a, b in zip(roots[u][live].tolist(), roots[v][live].tolist())
+        }
+        got = parent.copy()
+        stats = NumpyRunStats()
+        hook_until_fixpoint(got, u, v, stats=stats)
+        flatten_active(got)
+        assert np.array_equal(got, expected)
+        assert stats.frontier_sizes == sorted(stats.frontier_sizes, reverse=True)
+        if not distinct:
+            assert stats.hook_rounds == 0
+        elif np.count_nonzero(live) >= frontier.DENSE_PAIRS_PER_VERTEX * parent.size:
+            # Dense first round: no dedup, every live pair counted.
+            assert stats.frontier_sizes[0] == np.count_nonzero(live)
+        else:
+            assert stats.frontier_sizes[0] == len(distinct)
+
+    def test_empty_batch_is_a_noop(self):
+        parent = np.array([0, 0, 1, 3, 3, 4], dtype=np.int64)
+        before = parent.copy()
+        stats = NumpyRunStats()
+        e = np.empty(0, dtype=np.int64)
+        assert hook_until_fixpoint(parent, e, e, stats=stats) == 0
+        assert np.array_equal(parent, before)
+        assert stats == NumpyRunStats()
+
+    @given(forest_and_batch())
+    @settings(max_examples=100, deadline=None)
+    def test_hook_count_is_the_drop_in_roots(self, case):
+        parent, u, v = case
+        ids = np.arange(parent.size)
+        roots_before = np.count_nonzero(parent == ids)
+        hooks = hook_until_fixpoint(parent, u, v)
+        assert hooks == roots_before - np.count_nonzero(parent == ids)
+
+    def test_both_regimes_in_one_call(self):
+        # A shuffled path from the identity forest, its edges repeated
+        # past the cutoff: the first round runs dense, and the small
+        # frontiers left after it run sparse.
+        n = 4096
+        parent = np.arange(n, dtype=np.int64)
+        perm = np.random.default_rng(3).permutation(n).astype(np.int64)
+        reps = math.ceil(frontier.DENSE_PAIRS_PER_VERTEX * n / (n - 1))
+        u, v = np.tile(perm[:-1], reps), np.tile(perm[1:], reps)
+        stats = NumpyRunStats()
+        assert hook_until_fixpoint(parent, u, v, stats=stats) == n - 1
+        flatten_active(parent)
+        assert not parent.any()
+        assert stats.frontier_sizes[0] == reps * (n - 1)
+        assert 0 < stats.frontier_sizes[1] < n - 1

@@ -550,6 +550,33 @@ class TestObservability:
         svc.close()
         assert "service:batch" in [s.name for s in tracer.spans]
 
+    def test_flusher_recompute_reaches_backend_spans(self, two_cliques):
+        # The recompute backends read the ambient tracer themselves, so
+        # the flusher thread must install the captured one around each
+        # batch or their spans silently go to the disabled tracer.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            svc = ConnectivityService(two_cliques, start=True)
+        try:
+            svc.remove_edge(0, 1)
+            svc.flush(timeout=10.0)
+        finally:
+            svc.close()
+        spans = tracer.spans
+
+        def under_recompute(span):
+            while span.parent >= 0:
+                span = spans[span.parent]
+                if span.name == "service:recompute":
+                    return True
+            return False
+
+        backend_spans = [
+            s for s in spans
+            if s.name in ("numpy:hook-rounds", "contract:levels")
+        ]
+        assert any(under_recompute(s) for s in backend_spans)
+
 
 class TestLoadgen:
     @pytest.fixture(scope="class")

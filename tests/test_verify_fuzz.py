@@ -48,8 +48,8 @@ class TestAblationConfigs:
     def test_every_registered_backend_included(self):
         cfgs = ablation_configs()
         backends = {c.backend for c in cfgs}
-        for expected in ("serial", "numpy", "numpy-dense", "gpu", "omp",
-                        "fastsv", "afforest"):
+        for expected in ("serial", "numpy", "gpu", "omp", "fastsv",
+                         "afforest"):
             assert expected in backends
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import connected_components
+from repro.core.ecl_cc_numpy import ecl_cc_numpy_dense
 from repro.generators.suite import load
 from repro.graph.build import from_edges
 from repro.verify import METAMORPHIC_CHECKS
@@ -29,6 +30,8 @@ def _graphs():
 
 
 def _runner(backend):
+    if backend == "numpy-dense":  # the dense ablation is not registered
+        return lambda g: ecl_cc_numpy_dense(g)[0]
     return lambda g: connected_components(g, backend=backend, full_result=False)
 
 
