@@ -10,7 +10,9 @@ the GPU*) eliminate.  This module is the shared work-proportional engine:
 * :func:`unique_pairs` — dedupe a hook frontier to unique representative
   pairs via one composite-key sort plus an adjacent-difference mask
   (with an overflow-safe lexsort path for graphs too large for an
-  ``hi * n + lo`` key).  ``np.unique`` is deliberately avoided: recent
+  ``hi * n + lo`` key).  The CSR builder
+  (:func:`repro.graph.build.from_arc_arrays`) dedupes the symmetrized
+  arc list with it too.  ``np.unique`` is deliberately avoided: recent
   NumPy routes it through a hash-table kernel that is an order of
   magnitude slower than a plain sort at frontier sizes.
 * :func:`segment_min_hook` — replace the unbuffered ``np.minimum.at``

@@ -3,7 +3,10 @@
 The paper preprocesses every input the same way (§4): eliminate self-loops,
 eliminate duplicate edges, and add any missing back edges so the graph is
 undirected.  :func:`from_edges` implements exactly that pipeline, fully
-vectorized.
+vectorized.  Dedup is :func:`repro.core.frontier.unique_pairs` over both
+arc directions, the same primitive the hook loop uses: it returns the
+arcs sorted by ``(src, dst)``, so every row comes out ascending and the
+CSR is a bincount of the sources away.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core.frontier import unique_pairs
 from ..errors import GraphFormatError
 from .csr import CSRGraph
 
@@ -42,8 +46,6 @@ def from_edges(
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphFormatError("edge list must be an iterable of (u, v) pairs")
     arr = arr.astype(np.int64, copy=False)
-    if arr.size and arr.min() < 0:
-        raise GraphFormatError("vertex ids must be non-negative")
     return from_arc_arrays(arr[:, 0], arr[:, 1], num_vertices, name=name)
 
 
@@ -63,6 +65,8 @@ def from_arc_arrays(
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape or src.ndim != 1:
         raise GraphFormatError("src and dst must be 1-D arrays of equal length")
+    if min(src.min(initial=0), dst.min(initial=0)) < 0:
+        raise GraphFormatError("vertex ids must be non-negative")
     n_seen = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
     n = n_seen if num_vertices is None else int(num_vertices)
     if n < n_seen:
@@ -72,26 +76,14 @@ def from_arc_arrays(
 
     keep = src != dst  # drop self-loops
     src, dst = src[keep], dst[keep]
-    # Symmetrize: store each arc in both directions, then dedupe.
-    all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-    if all_src.size:
-        # Dedupe on the (src, dst) pair via a single composite key.
-        key = all_src * np.int64(n) + all_dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        uniq = np.empty(key.size, dtype=bool)
-        uniq[0] = True
-        np.not_equal(key[1:], key[:-1], out=uniq[1:])
-        all_src = all_src[order][uniq]
-        all_dst = all_dst[order][uniq]
-
-    counts = np.bincount(all_src, minlength=n)
+    # Symmetrize, then dedupe: unique_pairs returns the arcs sorted by
+    # (src, dst), so src counts give row_ptr and dst is col_idx as-is.
+    src, dst = unique_pairs(
+        np.concatenate([src, dst]), np.concatenate([dst, src]), n
+    )
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    # all_src is sorted, so all_dst is already grouped by source; within each
-    # group the composite key ordering sorted destinations ascending too.
-    return CSRGraph(row_ptr, all_dst, name=name)
+    np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
+    return CSRGraph(row_ptr, dst, name=name)
 
 
 def from_adjacency(adjacency: Sequence[Sequence[int]], *, name: str = "graph") -> CSRGraph:

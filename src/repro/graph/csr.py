@@ -342,8 +342,8 @@ class CSRGraph:
     def has_sorted_adjacency(self) -> bool:
         """Whether every adjacency list is ascending (memoized).
 
-        True for every graph built through :mod:`repro.graph.build` (the
-        composite-key dedup sorts each row); enables O(n) fast paths such
+        True for every graph built through :mod:`repro.graph.build` (its
+        ``unique_pairs`` dedup sorts each row); enables O(n) fast paths such
         as the vectorized Init2/Init3 (first neighbor == minimum neighbor).
         """
         cached = self._derived.get("sorted_adj")

@@ -43,8 +43,10 @@ union-find updates).  Recomputes run under the
 the chain instead of failing the batch.
 
 Observability: every applied batch records a ``service:batch`` span with
-size/mode/merge attributes, plus ``service.*`` counters and queue-depth
-/ cache-hit-rate gauges, on the tracer captured at construction time.
+size/mode/merge attributes (static batches nest ``service:rebuild`` and
+``service:recompute`` inside it), plus ``service.*`` counters and
+queue-depth / cache-hit-rate gauges, on the tracer captured at
+construction time.
 """
 
 from __future__ import annotations
@@ -710,7 +712,8 @@ class ConnectivityService:
     def _recompute(self) -> None:
         """Full static recompute of the live edge set via the fast
         native backends, under the resilience supervisor."""
-        graph = self._store.to_graph()
+        with self._tracer.span("service:rebuild", category="service"):
+            graph = self._store.to_graph()
         with self._tracer.span(
             "service:recompute", category="service",
             backend=self.policy.recompute_backend,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph.build import (
@@ -12,6 +14,47 @@ from repro.graph.build import (
     relabel_compact,
 )
 from repro.graph.validate import validate_undirected
+from repro.service import EdgeStore
+
+
+def _reference_csr(src, dst, n):
+    """``(row_ptr, col_idx)`` of the sorted set ``{(u, v), (v, u)}`` over
+    the non-loop arcs, built with plain Python."""
+    arcs = sorted(
+        {pair for u, v in zip(src, dst) if u != v for pair in ((u, v), (v, u))}
+    )
+    row_ptr = [0] * (n + 1)
+    for u, _ in arcs:
+        row_ptr[u + 1] += 1
+    for i in range(n):
+        row_ptr[i + 1] += row_ptr[i]
+    return row_ptr, [v for _, v in arcs]
+
+
+def _assert_matches_reference(g, src, dst, n):
+    row_ptr, col_idx = _reference_csr(src, dst, n)
+    assert g.row_ptr.dtype == np.int64 and g.col_idx.dtype == np.int64
+    assert g.row_ptr.tolist() == row_ptr
+    assert g.col_idx.tolist() == col_idx
+    assert g.has_sorted_adjacency()
+
+
+@st.composite
+def _arc_lists(draw):
+    """Arc lists with duplicates in both directions, all-loop lists,
+    ``n`` in {0, 1}, and optional ``num_vertices`` slack."""
+    n_ids = draw(st.integers(0, 12))
+    ids = st.integers(0, max(n_ids - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40)) if n_ids else []
+    if pairs:
+        # Re-emit drawn arcs, some reversed, so duplicates arrive both ways.
+        again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans())))
+        pairs += [(b, a) if flip else (a, b) for (a, b), flip in again]
+        pairs = draw(st.permutations(pairs))
+        if draw(st.booleans()):
+            pairs = [(a, a) for a, _ in pairs]
+    slack = draw(st.one_of(st.none(), st.integers(0, 5)))
+    return pairs, slack
 
 
 class TestFromEdges:
@@ -74,6 +117,75 @@ class TestFromArcArrays:
         # (0,1) given in both directions must produce exactly one edge.
         g = from_arc_arrays(np.array([0, 1]), np.array([1, 0]))
         assert g.num_edges == 1
+
+    @pytest.mark.parametrize(
+        "src, dst, num_vertices",
+        [([-1], [0], None), ([2], [-1], None), ([0], [-1], 4), ([0], [-3], None)],
+    )
+    def test_negative_ids_rejected(self, src, dst, num_vertices):
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            from_arc_arrays(np.array(src), np.array(dst), num_vertices)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_arc_lists())
+    @example(([], None))
+    @example(([], 1))
+    @example(([(0, 0)], None))
+    @example(([(0, 0), (0, 0)], 3))
+    def test_matches_reference(self, case):
+        pairs, slack = case
+        src = [a for a, _ in pairs]
+        dst = [b for _, b in pairs]
+        n_seen = max(src + dst, default=-1) + 1
+        num_vertices = None if slack is None else n_seen + slack
+        g = from_arc_arrays(
+            np.array(src, dtype=np.int64),
+            np.array(dst, dtype=np.int64),
+            num_vertices,
+        )
+        n = n_seen if num_vertices is None else num_vertices
+        assert g.num_vertices == n
+        _assert_matches_reference(g, src, dst, n)
+
+    def test_edge_store_to_graph_matches_live_set(self):
+        # Shuffled inserts (both orientations, duplicates), tombstones,
+        # compaction and re-inserts: to_graph() must equal from_edges of
+        # the live edge set and the plain-Python reference.
+        rng = np.random.default_rng(5)
+        n = 40
+        u = rng.integers(0, n, 300)
+        v = rng.integers(0, n, 300)
+        store = EdgeStore(n)
+        live: set[tuple[int, int]] = set()
+
+        def canon(idx):
+            return {(min(a, b), max(a, b)) for a, b in zip(u[idx], v[idx]) if a != b}
+
+        def check():
+            edges = sorted(live)
+            g = store.to_graph()
+            ref = from_edges(edges, num_vertices=n)
+            assert np.array_equal(g.row_ptr, ref.row_ptr)
+            assert np.array_equal(g.col_idx, ref.col_idx)
+            _assert_matches_reference(
+                g, [a for a, _ in edges], [b for _, b in edges], n
+            )
+
+        for chunk in np.array_split(rng.permutation(u.size), 6):
+            store.insert(u[chunk], v[chunk])
+            live |= canon(chunk)
+        check()
+        dead = rng.choice(u.size, 120, replace=False)
+        store.delete(v[dead], u[dead])
+        live -= canon(dead)
+        assert store.tombstone_fraction > 0
+        check()
+        assert store.compact() > 0
+        check()
+        back = dead[:60]
+        store.insert(v[back], u[back])
+        live |= canon(back)
+        check()
 
 
 class TestFromAdjacency:

@@ -577,6 +577,20 @@ class TestObservability:
         ]
         assert any(under_recompute(s) for s in backend_spans)
 
+    def test_delete_batch_records_one_rebuild_span(self, two_cliques):
+        # The CSR rebuild before a recompute is its own span, a sibling
+        # of service:recompute inside the batch.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            svc = ConnectivityService(two_cliques, start=False)
+            svc.remove_edge(0, 1)
+            svc.flush()
+        spans = tracer.spans
+        (rebuild,) = [s for s in spans if s.name == "service:rebuild"]
+        (recompute,) = [s for s in spans if s.name == "service:recompute"]
+        assert rebuild.parent == recompute.parent
+        assert spans[rebuild.parent].name == "service:batch"
+
 
 class TestLoadgen:
     @pytest.fixture(scope="class")
