@@ -511,7 +511,8 @@ register_backend(
             "crashed-shard resubmissions before inline recompute (default 1)"
         ),
         "start_method": OptionSpec(
-            "multiprocessing start method override", ("fork", "spawn", "forkserver")
+            "worker-pool start method (default forkserver, else spawn)",
+            ("fork", "spawn", "forkserver"),
         ),
     },
 )

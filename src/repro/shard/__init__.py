@@ -8,12 +8,16 @@ workers reading the graph zero-copy from shared memory
 with a vectorized union-find pass (:mod:`~repro.shard.runner`).
 Labels are canonical min-member, bit-identical to the serial oracle.
 
+Process-mode runs borrow one warm process-wide pool (``forkserver``
+by default, so scripts need an ``if __name__ == "__main__":`` guard and
+the first call pays the server start-up), stopped by :func:`shutdown_pool`.
+
 Quick use::
 
     from repro import connected_components
     result = connected_components(graph, backend="sharded", workers=4)
 
-or, amortizing pool/segment setup across repeated solves::
+or, keeping the shared-memory export across repeated solves::
 
     from repro.shard import ShardedExecutor
     with ShardedExecutor(graph, workers=4, force_processes=True) as ex:
@@ -21,7 +25,7 @@ or, amortizing pool/segment setup across repeated solves::
 """
 
 from .partition import PARTITIONERS, ShardPlan, make_plan, partition_degree, partition_range
-from .runner import ShardedExecutor, ShardedRunStats, merge_boundary, sharded_cc
+from .runner import ShardedExecutor, ShardedRunStats, merge_boundary, sharded_cc, shutdown_pool
 from .worker import SHARD_BACKENDS, solve_shard_local
 
 __all__ = [
@@ -35,5 +39,6 @@ __all__ = [
     "partition_degree",
     "partition_range",
     "sharded_cc",
+    "shutdown_pool",
     "solve_shard_local",
 ]

@@ -20,8 +20,8 @@ Two execution modes share that identical dataflow:
     suite leans on, since both modes produce the same labels by
     construction.
 *processes*
-    Real ``multiprocessing`` workers in a persistent pool, reading the
-    CSR arrays zero-copy from a ``multiprocessing.shared_memory``
+    Real ``multiprocessing`` workers in one process-wide pool, reading
+    the CSR arrays zero-copy from a ``multiprocessing.shared_memory``
     segment (:meth:`CSRGraph.to_shared`) and writing their label slices
     into a second shared segment.  Only boundary arcs, spans, and
     counters cross the process boundary by value.
@@ -37,9 +37,12 @@ the shard index.
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing.util  # its exit handler must run after shutdown_pool's
 import os
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,13 +56,14 @@ from ..graph.csr import (
 )
 from ..observe import Span, current_tracer
 from .partition import ShardPlan, make_plan
-from .worker import SHARD_BACKENDS, shard_worker, solve_shard_local
+from .worker import SHARD_BACKENDS, _exit_with_parent, shard_worker, solve_shard_local
 
 __all__ = [
     "ShardedExecutor",
     "ShardedRunStats",
     "merge_boundary",
     "sharded_cc",
+    "shutdown_pool",
 ]
 
 #: Arc count below which the inline path is always taken (process
@@ -73,6 +77,62 @@ def _default_workers() -> int:
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         avail = os.cpu_count() or 1
     return max(1, min(4, avail))
+
+
+#: One warm worker pool for every process-mode run, keyed by (workers,
+#: start method).  Created on first use, replaced when a run asks for
+#: another key or finds it broken, and shut down by :func:`shutdown_pool`.
+_POOL, _POOL_KEY = None, None
+_POOL_LOCK = threading.Lock()
+
+#: A long-lived fork pool would pin a copy-on-write snapshot of the
+#: caller's heap and fork while service threads run; forkserver workers
+#: fork from a small server process instead.
+DEFAULT_START_METHOD = (
+    "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+)
+
+
+def _borrow_pool(workers: int, method: str):
+    """The process-wide pool for ``(workers, method)``, (re)created as needed."""
+    global _POOL, _POOL_KEY
+    from concurrent.futures import ProcessPoolExecutor
+
+    with _POOL_LOCK:
+        key = (workers, method)
+        # ``_broken``: a worker died, and the pool takes no more work.
+        if _POOL is not None and (_POOL_KEY != key or _POOL._broken):
+            _POOL.shutdown(wait=True)
+            _POOL = None
+        if _POOL is None:
+            ctx = multiprocessing.get_context(method)
+            _POOL = ProcessPoolExecutor(workers, ctx, initializer=_exit_with_parent)
+            _POOL_KEY = key
+        return _POOL
+
+
+def shutdown_pool() -> None:
+    """Join the process-wide pool's workers and stop the forkserver
+    (idempotent; run at exit).  The next process-mode run starts afresh."""
+    global _POOL, _POOL_KEY
+    with _POOL_LOCK:
+        pool, _POOL, _POOL_KEY = _POOL, None, None
+    if pool is not None:
+        pool.shutdown(wait=True)
+    if DEFAULT_START_METHOD == "forkserver":
+        from multiprocessing import forkserver
+
+        forkserver._forkserver._stop()
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the handle but not the pool's threads.
+    global _POOL, _POOL_KEY, _POOL_LOCK
+    _POOL, _POOL_KEY, _POOL_LOCK = None, None, threading.Lock()
+
+
+atexit.register(shutdown_pool)
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -94,21 +154,7 @@ class ShardedRunStats:
     fallbacks: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "num_shards": self.num_shards,
-            "workers": self.workers,
-            "partitioner": self.partitioner,
-            "shard_backend": self.shard_backend,
-            "mode": self.mode,
-            "start_method": self.start_method,
-            "shard_vertices": list(self.shard_vertices),
-            "shard_arcs": list(self.shard_arcs),
-            "shard_boundary": list(self.shard_boundary),
-            "boundary_edges": self.boundary_edges,
-            "merge_rounds": self.merge_rounds,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
-        }
+        return asdict(self)
 
 
 def merge_boundary(
@@ -139,9 +185,10 @@ class ShardedExecutor:
     """Reusable sharded solver for one graph.
 
     Construction partitions the graph and — in process mode — exports
-    it to shared memory and warms a persistent worker pool, so repeated
-    :meth:`run` calls (the serving/benchmark pattern) pay transport and
-    fork cost once.  Use as a context manager, or call :meth:`close`;
+    it to shared memory, so repeated :meth:`run` calls (the
+    serving/benchmark pattern) pay the transport once.  Runs borrow the
+    process-wide worker pool (see :mod:`repro.shard`); the executor owns
+    only its two shared segments.  Use as a context manager, or call :meth:`close`;
     segments never freed are reclaimed by the atexit guard in
     :mod:`repro.graph.csr`.
     """
@@ -180,7 +227,6 @@ class ShardedExecutor:
                 and graph.num_arcs >= min_parallel
             )
         )
-        self._pool = None
         self._graph_handle = None
         self._labels_shm = None
         self._start_method = ""
@@ -190,48 +236,44 @@ class ShardedExecutor:
 
     # -- process-mode plumbing ----------------------------------------
     def _setup_processes(self, start_method: str | None) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import shared_memory
 
-        methods = multiprocessing.get_all_start_methods()
-        method = start_method or ("fork" if "fork" in methods else "spawn")
-        ctx = multiprocessing.get_context(method)
+        method = start_method or DEFAULT_START_METHOD
         self._start_method = method
         # Fork workers share the parent's resource tracker (registration
-        # is an idempotent set-add); spawn workers own a private tracker
-        # that must not claim the parent's segments.
+        # is an idempotent set-add); forkserver and spawn workers attach
+        # untracked so they never claim the parent's segments.
         self._track = method == "fork"
-        self._graph_handle = self.graph.to_shared()
         n = self.graph.num_vertices
-        self._labels_shm = shared_memory.SharedMemory(
-            create=True, size=max(8, n * 8)
-        )
-        _register_shared_segment(self._labels_shm)
-        pool_size = min(self.workers, max(1, self.plan.num_shards))
-        self._pool = ProcessPoolExecutor(max_workers=pool_size, mp_context=ctx)
+        nbytes = (2 * n + 1 + self.graph.num_arcs) * 8
+        with current_tracer().span("shard:transport", category="shard", stage="export", bytes=nbytes):
+            self._graph_handle = self.graph.to_shared()
+            self._labels_shm = shared_memory.SharedMemory(
+                create=True, size=max(8, n * 8)
+            )
+            _register_shared_segment(self._labels_shm)
 
     def close(self) -> None:
-        """Shut the pool down and free the shared segments (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._labels_shm is not None:
-            name = self._labels_shm.name
-            try:
-                self._labels_shm.close()
-            except BufferError:  # a view still alive; atexit retries
-                pass
-            else:
+        """Free the shared segments (idempotent); the pool stays warm."""
+        if self._labels_shm is None and self._graph_handle is None:
+            return
+        with current_tracer().span("shard:transport", category="shard", stage="release"):
+            if self._labels_shm is not None:
+                name = self._labels_shm.name
                 try:
-                    self._labels_shm.unlink()
-                except FileNotFoundError:
+                    self._labels_shm.close()
+                except BufferError:  # a view still alive; atexit retries
                     pass
-                _forget_shared_segment(name)
-            self._labels_shm = None
-        if self._graph_handle is not None:
-            self._graph_handle.unlink()
-            self._graph_handle = None
+                else:
+                    try:
+                        self._labels_shm.unlink()
+                    except FileNotFoundError:
+                        pass
+                    _forget_shared_segment(name)
+                self._labels_shm = None
+            if self._graph_handle is not None:
+                self._graph_handle.unlink()
+                self._graph_handle = None
 
     def __enter__(self) -> "ShardedExecutor":
         return self
@@ -243,7 +285,7 @@ class ShardedExecutor:
     # -- execution ------------------------------------------------------
     def run(self) -> CCResult:
         """Solve the graph once; labels are a fresh array every call."""
-        from ..resilience.supervisor import AttemptRecord, RecoveryInfo
+        from ..resilience.supervisor import RecoveryInfo
 
         graph, plan = self.graph, self.plan
         n = graph.num_vertices
@@ -283,18 +325,15 @@ class ShardedExecutor:
         if n == 0:
             labels = np.empty(0, dtype=np.int64)
             boundary: list[tuple[np.ndarray, np.ndarray]] = []
-        elif self.use_processes and self._pool is not None:
+        elif self.use_processes:
             labels, boundary = self._run_processes(ranges, stats, recovery, tracer)
         else:
             labels, boundary = self._run_inline(ranges, stats, tracer)
         timings["workers_ms"] = (time.perf_counter() - t0) * 1e3
 
-        if boundary:
-            bu = np.concatenate([b[0] for b in boundary])
-            bv = np.concatenate([b[1] for b in boundary])
-        else:
-            bu = np.empty(0, dtype=np.int64)
-            bv = np.empty(0, dtype=np.int64)
+        empty = [np.empty(0, dtype=np.int64)]
+        bu = np.concatenate(empty + [b[0] for b in boundary])
+        bv = np.concatenate(empty + [b[1] for b in boundary])
         stats.boundary_edges = int(bu.size)
 
         t0 = time.perf_counter()
@@ -345,22 +384,21 @@ class ShardedExecutor:
 
     def _armed_crash(self, shard: int, attempt: int) -> bool:
         plan = self.fault_plan
-        if not plan:
-            return False
-        return any(
-            spec.kind == "worker_crash" and spec.at == shard
-            for spec in plan.for_backend("sharded", attempt)
-        )
+        specs = plan.for_backend("sharded", attempt) if plan else ()
+        return any(s.kind == "worker_crash" and s.at == shard for s in specs)
 
     def _run_processes(self, ranges, stats, recovery, tracer):
+        from concurrent.futures import wait
+        from concurrent.futures.process import BrokenProcessPool
+
         from ..resilience.supervisor import AttemptRecord
 
         n = self.graph.num_vertices
+        pool = _borrow_pool(self.workers, self._start_method)
         shared = np.ndarray(n, dtype=np.int64, buffer=self._labels_shm.buf)
         trace = bool(tracer.enabled)
         results: dict[int, dict] = {}
         fallback_slices: dict[int, np.ndarray] = {}
-        boundary_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         def task_for(shard: int, attempt: int) -> dict:
             s, e = ranges[shard]
@@ -388,7 +426,6 @@ class ShardedExecutor:
                 self.graph, s, e, backend=self.shard_backend
             )
             fallback_slices[shard] = lab
-            boundary_parts[shard] = (bu, bv)
             results[shard] = {
                 "shard": shard,
                 "pid": None,
@@ -407,12 +444,20 @@ class ShardedExecutor:
                 )
             )
 
-        pending = {
-            self._pool.submit(shard_worker, task_for(i, 0)): (i, 0)
-            for i in range(len(ranges))
-        }
-        from concurrent.futures import wait
+        def submit(shard: int, attempt: int) -> None:
+            # Borrow again, once, if another run replaced the pool or a
+            # worker died since this run borrowed it.
+            nonlocal pool
+            try:
+                fut = pool.submit(shard_worker, task_for(shard, attempt))
+            except RuntimeError:
+                pool = _borrow_pool(self.workers, self._start_method)
+                fut = pool.submit(shard_worker, task_for(shard, attempt))
+            pending[fut] = (shard, attempt)
 
+        pending: dict = {}
+        for i in range(len(ranges)):
+            submit(i, 0)
         broken = False
         while pending:
             done, _ = wait(pending)
@@ -423,7 +468,6 @@ class ShardedExecutor:
                 if err is None:
                     payload = fut.result()
                     results[shard] = payload
-                    boundary_parts[shard] = (payload["bu"], payload["bv"])
                     if attempt:  # a retry that recovered
                         recovery.attempts.append(
                             AttemptRecord(
@@ -446,7 +490,7 @@ class ShardedExecutor:
                 )
                 if tracer.enabled:
                     tracer.count("shard.worker_faults")
-                broken = broken or _pool_is_broken(err)
+                broken = broken or isinstance(err, BrokenProcessPool)
                 if attempt < self.max_retries and not broken:
                     stats.retries += 1
                     recovery.retries += 1
@@ -457,11 +501,10 @@ class ShardedExecutor:
                 if broken:
                     fallback(shard, attempt)
                 else:
-                    pending[
-                        self._pool.submit(shard_worker, task_for(shard, attempt))
-                    ] = (shard, attempt)
+                    submit(shard, attempt)
 
-        labels = shared.copy()
+        with tracer.span("shard:transport", category="shard", stage="collect", bytes=n * 8):
+            labels = shared.copy()
         for shard, lab in fallback_slices.items():
             s, e = ranges[shard]
             labels[s:e] = lab
@@ -492,21 +535,14 @@ class ShardedExecutor:
                 tracer.gauge(f"shard.boundary.{shard}", payload["boundary"])
                 if payload["spans"]:
                     _fold_child_spans(tracer, span, payload["spans"])
-            boundary.append(boundary_parts[shard])
+            boundary.append((payload["bu"], payload["bv"]))
         return labels, boundary
 
 
-def _pool_is_broken(err: BaseException) -> bool:
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(err, BrokenProcessPool)
-
-
 def _fold_child_spans(tracer, parent_span: Span, child_spans: list[dict]) -> None:
-    """Reconstruct a worker's spans under ``parent_span`` in the parent
-    trace: indices remapped past the current span list, depths nested
-    below the worker span, start times kept relative to the worker span
-    start (the worker tracer's epoch is the task start)."""
+    """Reconstruct a worker's spans under ``parent_span``: indices past
+    the current span list, depths below the worker span, start times
+    relative to its start (the worker tracer's epoch is the task start)."""
     base = len(tracer.spans)
     for d in child_spans:
         s = Span(d["name"], d["category"], dict(d["attrs"]), tracer)
@@ -530,11 +566,11 @@ def sharded_cc(
     max_retries: int = 1,
     start_method: str | None = None,
 ) -> CCResult:
-    """One-shot sharded solve (build an executor, run, tear down).
+    """One-shot sharded solve (build an executor, run, free its segments).
 
-    For repeated solves of the same graph construct a
-    :class:`ShardedExecutor` directly — it keeps the worker pool and
-    shared segments warm across :meth:`~ShardedExecutor.run` calls.
+    Process-mode calls borrow the warm process-wide worker pool.  For
+    repeated solves of the same graph construct a
+    :class:`ShardedExecutor` directly — it keeps the shared segments.
     """
     with ShardedExecutor(
         graph,

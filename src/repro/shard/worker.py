@@ -9,22 +9,23 @@ shard's global labels plus its cross-shard boundary arcs.
 :func:`shard_worker` is the picklable process entry point the
 :class:`~repro.shard.runner.ShardedExecutor` submits to its pool.  It
 reads the graph zero-copy out of shared memory (attachments are cached
-per process, so a persistent pool attaches each segment once), writes
-its label slice into the shared output segment, and returns only small
-metadata: boundary arcs, spans recorded under the worker's own tracer
-(folded into the parent trace by the runner), and counters.
+for the current run, so a warm worker attaches each segment once),
+writes its label slice into the shared output segment, and returns only
+small metadata: boundary arcs, spans recorded under the worker's own
+tracer (folded into the parent trace by the runner), and counters.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
 from ..errors import WorkerCrashError
 from ..graph.csr import CSRGraph, SharedGraphHandle, _attach_segment
-from ..observe import Tracer
+from ..observe import Tracer, current_tracer
 
 __all__ = ["shard_worker", "solve_csr_slice", "solve_shard_local"]
 
@@ -50,12 +51,8 @@ def solve_shard_local(
         edge is seen by both endpoint shards, so keeping the
         low-endpoint direction emits it exactly once globally.
     """
-    count = end - start
-    if count <= 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
     rp = graph.row_ptr[start : end + 1]
-    cols = graph.col_idx[int(rp[0]) : int(rp[-1])]
+    cols = graph.col_idx[int(rp[0]) : int(rp[-1])] if end > start else graph.col_idx[:0]
     return solve_csr_slice(
         rp, cols, start, end, backend=backend,
         name=f"{graph.name}[{start}:{end}]",
@@ -84,16 +81,17 @@ def solve_csr_slice(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
     base = int(rp[0])
-    local_mask = (cols >= start) & (cols < end)
+    with current_tracer().span("shard:slice", category="shard", arcs=int(cols.size)):
+        local_mask = (cols >= start) & (cols < end)
 
-    # Local CSR: prefix-sum the kept-arc mask, gather at the old row
-    # boundaries.  O(shard) time, independent of the rest of the graph.
-    csum = np.empty(cols.size + 1, dtype=np.int64)
-    csum[0] = 0
-    np.cumsum(local_mask, out=csum[1:])
-    local_rp = csum[np.asarray(rp) - base]
-    local_cols = np.asarray(cols[local_mask]) - start
-    local = CSRGraph(local_rp, local_cols, name=name)
+        # Local CSR: prefix-sum the kept-arc mask, gather at the old row
+        # boundaries.  O(shard) time, independent of the rest of the graph.
+        csum = np.empty(cols.size + 1, dtype=np.int64)
+        csum[0] = 0
+        np.cumsum(local_mask, out=csum[1:])
+        local_rp = csum[np.asarray(rp) - base]
+        local_cols = np.asarray(cols[local_mask]) - start
+        local = CSRGraph(local_rp, local_cols, name=name)
 
     from ..core.api import connected_components
 
@@ -102,18 +100,20 @@ def solve_csr_slice(
 
     # Boundary arcs: sources recovered from the arc offsets by one
     # searchsorted against the shard's row pointers.
-    out_idx = np.flatnonzero(~local_mask)
-    if out_idx.size:
-        bu = np.searchsorted(rp, out_idx + base, side="right") - 1 + start
-        bv = cols[out_idx]
-        keep = bu < bv
-        # Plain contiguous ndarrays even when cols is an np.memmap view
-        # (fancy indexing preserves the subclass).
-        bu = np.ascontiguousarray(bu[keep]).view(np.ndarray)
-        bv = np.ascontiguousarray(bv[keep]).view(np.ndarray)
-    else:
-        bu = np.empty(0, dtype=np.int64)
-        bv = np.empty(0, dtype=np.int64)
+    with current_tracer().span("shard:boundary", category="shard") as span:
+        out_idx = np.flatnonzero(~local_mask)
+        if out_idx.size:
+            bu = np.searchsorted(rp, out_idx + base, side="right") - 1 + start
+            bv = cols[out_idx]
+            keep = bu < bv
+            # Plain contiguous ndarrays even when cols is an np.memmap view
+            # (fancy indexing preserves the subclass).
+            bu = np.ascontiguousarray(bu[keep]).view(np.ndarray)
+            bv = np.ascontiguousarray(bv[keep]).view(np.ndarray)
+        else:
+            bu = np.empty(0, dtype=np.int64)
+            bv = np.empty(0, dtype=np.int64)
+        span.set("boundary", int(bu.size))
     return labels, bu, bv
 
 
@@ -121,17 +121,35 @@ def solve_csr_slice(
 # Process entry point
 # ----------------------------------------------------------------------
 #: Per-process cache of shared-memory attachments, keyed by segment
-#: name.  A persistent pool worker attaches each graph/label segment on
-#: first use and reuses the mapping for every later task.
+#: name.  A warm pool worker attaches each graph/label segment on first
+#: use and reuses the mapping for every later task of the same run.
 _ATTACHMENTS: dict[str, object] = {}
 
 
-def _attached(name: str, *, track: bool):
-    shm = _ATTACHMENTS.get(name)
-    if shm is None:
-        shm = _attach_segment(name, track=track)
-        _ATTACHMENTS[name] = shm
-    return shm
+def _attach_run(names: tuple[str, ...], *, track: bool) -> list:
+    """The mappings of ``names``, cached; other cached mappings are closed
+    first, as an earlier run's unlinked segments would stay pinned."""
+    for name in [n for n in _ATTACHMENTS if n not in names]:
+        try:
+            _ATTACHMENTS[name].close()
+        except BufferError:  # a view outlived its task; retry next task
+            continue
+        del _ATTACHMENTS[name]
+    for name in names:
+        if name not in _ATTACHMENTS:
+            _ATTACHMENTS[name] = _attach_segment(name, track=track)
+    return [_ATTACHMENTS[name] for name in names]
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: exit once the pool's parent dies, even by
+    ``SIGKILL``, instead of waiting on its queue forever."""
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=lambda: (wait([sentinel]), os._exit(1)), daemon=True).start()
 
 
 def _plain(value):
@@ -162,7 +180,7 @@ def shard_worker(task: dict) -> dict:
     ``task`` keys: ``graph`` (:class:`SharedGraphHandle`),
     ``labels_name`` (shared label segment), ``start``/``end``/``shard``,
     ``backend``, ``track`` (resource-tracker policy: ``True`` for fork
-    workers, ``False`` for spawn), ``trace`` (record spans), ``crash``
+    workers, ``False`` otherwise), ``trace`` (record spans), ``crash``
     (injected :class:`WorkerCrashError`, from the fault plan).
     """
     t0 = time.perf_counter()
@@ -173,23 +191,18 @@ def shard_worker(task: dict) -> dict:
             pid=os.getpid(),
         )
     handle: SharedGraphHandle = task["graph"]
-    track = task.get("track", True)
     # Attach through the per-process cache (handle.attach would create a
     # fresh mapping per task).
-    handle._shm = _attached(handle.shm_name, track=track)
+    handle._shm, lshm = _attach_run(
+        (handle.shm_name, task["labels_name"]), track=task.get("track", True)
+    )
     graph = CSRGraph.from_shared(handle)
     start, end, shard = task["start"], task["end"], task["shard"]
 
     tracer = Tracer() if task.get("trace") else None
-    if tracer is not None:
-        with tracer:
-            labels, bu, bv = solve_shard_local(
-                graph, start, end, backend=task["backend"]
-            )
-    else:
+    with tracer if tracer is not None else nullcontext():
         labels, bu, bv = solve_shard_local(graph, start, end, backend=task["backend"])
 
-    lshm = _attached(task["labels_name"], track=track)
     out = np.ndarray(handle.num_vertices, dtype=np.int64, buffer=lshm.buf)
     out[start:end] = labels
 

@@ -5,13 +5,21 @@ pickling, leak guard), bit-identity of the partition-then-merge pipeline
 against the serial oracle (inline and real process pools), metamorphic
 invariants (shard-count and vertex-permutation invariance), adversarial
 partitions (all edges crossing, empty shards, isolated-vertex shards),
-and worker-crash recovery through the fault injector — including the
-no-leaked-``/dev/shm``-segments regression check.
+worker-crash recovery through the fault injector — including the
+no-leaked-``/dev/shm``-segments regression check — and the lifecycle of
+the process-wide worker pool (reuse, replacement after a killed worker,
+stale attachments, clean interpreter exit).
 """
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +29,7 @@ from repro.errors import GraphValidationError
 from repro.generators import load
 from repro.graph.build import empty_graph, from_edges
 from repro.graph.csr import CSRGraph, SharedGraphHandle, leaked_shared_segments
+from repro.observe import Tracer
 from repro.resilience import FaultPlan, FaultSpec
 from repro.shard import (
     PARTITIONERS,
@@ -31,8 +40,10 @@ from repro.shard import (
     partition_degree,
     partition_range,
     sharded_cc,
+    shutdown_pool,
     solve_shard_local,
 )
+from repro.shard import runner
 from repro.verify import reference_labels
 from repro.verify.metamorphic import permute_vertices
 
@@ -325,8 +336,6 @@ class TestProcessPool:
         assert res.stats.mode == "inline"  # tiny graphs never fork
 
     def test_spans_and_gauges(self):
-        from repro.observe import Tracer
-
         g = load("rmat16.sym", "tiny")
         with Tracer() as t:
             connected_components(
@@ -336,13 +345,35 @@ class TestProcessPool:
         assert "shard:partition" in names
         assert names.count("shard:worker") == 2
         assert "shard:merge" in names
-        # Child-process spans are folded under the worker spans.
+        # Child-process spans are folded under the worker spans: the
+        # local solve plus the slice and boundary work around it.
         workers = [s for s in t.spans if s.name == "shard:worker"]
-        folded = [s for s in t.spans if s.parent in {w.index for w in workers}]
-        assert any(s.name.startswith("cc:") for s in folded)
+        for w in workers:
+            folded = [s.name for s in t.spans if s.parent == w.index]
+            assert folded[0] == "shard:slice"
+            assert folded[1].startswith("cc:")
+            assert folded[-1] == "shard:boundary"
+        boundary = [s for s in t.spans if s.name == "shard:boundary"]
+        assert sorted(s.attrs["boundary"] for s in boundary) == sorted(
+            w.attrs["boundary"] for w in workers
+        )
+        # The parent's shared-memory transport: export, copy-out, free.
+        root = t.spans[0]
+        transport = [s for s in t.spans if s.name == "shard:transport"]
+        assert [s.attrs["stage"] for s in transport] == [
+            "export", "collect", "release"
+        ]
+        assert all(s.parent == root.index for s in transport)
         gauge_names = {g_[1] for g_ in t.gauges}
         assert {"shard.vertices.0", "shard.arcs.1", "shard.boundary.0",
                 "shard.boundary_edges"} <= gauge_names
+
+    def test_inline_runs_record_slice_and_boundary(self, two_cliques):
+        with Tracer() as t:
+            connected_components(two_cliques, backend="sharded", workers=2)
+        names = [s.name for s in t.spans]
+        assert names.count("shard:slice") == names.count("shard:boundary") == 2
+        assert "shard:transport" not in names  # no segments inline
 
     def test_invalid_options(self, two_cliques):
         with pytest.raises(ValueError, match="shard_backend"):
@@ -430,3 +461,183 @@ class TestWorkerCrashRecovery:
                 fault_plan=self.plan(attempt=0),
             )
         assert t.counters.get("shard.worker_faults") == 1
+
+
+# ----------------------------------------------------------------------
+# The process-wide worker pool
+# ----------------------------------------------------------------------
+def _cached_attachments() -> int:
+    """Pool probe: shared-memory mappings the worker still holds."""
+    from repro.shard import worker
+
+    return len(worker._ATTACHMENTS)
+
+
+def _worker_pids(workers=2, **options) -> tuple[object, list[int]]:
+    g = load("rmat16.sym", "tiny")
+    with Tracer() as t:
+        res = connected_components(
+            g, backend="sharded", workers=workers, force_processes=True,
+            **options,
+        )
+    assert np.array_equal(res.labels, reference_labels(g))
+    return res, [s.attrs["pid"] for s in t.spans if s.name == "shard:worker"]
+
+
+class TestWarmPool:
+    def test_consecutive_calls_reuse_workers(self):
+        _, first = _worker_pids(workers=1)
+        pool = runner._POOL
+        _, second = _worker_pids(workers=1)
+        assert runner._POOL is pool
+        assert first == second
+        # With two workers the pool may still grow, but no worker of the
+        # first call has exited.
+        _, first = _worker_pids()
+        _, second = _worker_pids()
+        assert all(_alive(p) for p in first + second)
+
+    def test_killed_worker_gets_a_fresh_pool(self):
+        _, pids = _worker_pids()
+        pool = runner._POOL
+        os.kill(pids[0], signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken:  # the pool's manager thread notices
+            assert time.monotonic() < deadline, "pool never saw the kill"
+            time.sleep(0.01)
+        res, fresh = _worker_pids()
+        assert res.recovery is None
+        assert runner._POOL is not pool
+        assert pids[0] not in fresh
+
+    def test_new_key_replaces_pool(self):
+        _worker_pids()
+        res, _ = _worker_pids(start_method="spawn")
+        assert res.stats.start_method == "spawn"
+        assert runner._POOL_KEY == (2, "spawn")
+        res, _ = _worker_pids()
+        assert res.stats.start_method == runner.DEFAULT_START_METHOD
+
+    def test_run_borrows_again_when_its_pool_was_replaced(self, monkeypatch):
+        # Another run may replace the shared pool between this run's
+        # borrow and its submits.
+        from concurrent.futures import ProcessPoolExecutor
+
+        stale = ProcessPoolExecutor(1)
+        stale.shutdown()
+        borrow, handed = runner._borrow_pool, []
+
+        def borrow_stale_first(*key):
+            if handed:
+                return borrow(*key)
+            handed.append(stale)
+            return stale
+
+        monkeypatch.setattr(runner, "_borrow_pool", borrow_stale_first)
+        res, _ = _worker_pids()
+        assert res.recovery is None and handed == [stale]
+
+    def test_worker_holds_only_the_current_runs_segments(self):
+        # One worker, so every task and the probe land on the same one.
+        for name in ("rmat16.sym", "2d-2e20.sym", "internet"):
+            g = load(name, "tiny")
+            sharded_cc(g, workers=1, force_processes=True)
+        pool = runner._borrow_pool(1, runner.DEFAULT_START_METHOD)
+        assert pool.submit(_cached_attachments).result() <= 2
+
+    def test_shutdown_is_idempotent_and_pool_restarts(self):
+        _worker_pids()
+        shutdown_pool()
+        shutdown_pool()
+        assert runner._POOL is None
+        _worker_pids()
+        assert runner._POOL is not None
+
+    def test_forked_child_drops_the_pool_handle(self):
+        _worker_pids()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - child
+            os._exit(0 if runner._POOL is None else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert runner._POOL is not None
+
+    def test_process_exit_is_clean(self, tmp_path):
+        # The child runs its exit handlers early so it can report on
+        # them: the workers and the forkserver must be gone as soon as
+        # the handlers return, not merely some time after the exit.
+        code, out, err, pids = _run_child(
+            tmp_path,
+            "atexit._run_exitfuncs()\n"
+            "print(json.dumps([p for p in pids if os.path.exists(f'/proc/{p}')]))\n",
+        )
+        assert code == 0, err
+        assert err == ""
+        assert json.loads(out.splitlines()[-1]) == []
+        assert _survivors(pids, wait_s=0) == []
+
+    def test_killed_parent_takes_its_workers_along(self, tmp_path):
+        code, _, _, pids = _run_child(
+            tmp_path, "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        assert code == -signal.SIGKILL
+        assert _survivors(pids, wait_s=30) == []
+
+
+def _run_child(tmp_path, tail: str):
+    """Run one process-mode call in a fresh interpreter, then ``tail``.
+
+    Returns ``(exit code, stdout, stderr, pids)``, the pids being those
+    of the pool workers and the forkserver, printed before ``tail``
+    runs.  Output goes through files, not pipes, so a worker that
+    outlives the child cannot hold the call open.
+    """
+    import repro
+
+    script = (
+        "import atexit, json, os, signal\n"
+        "from multiprocessing import forkserver\n"
+        "from repro import connected_components\n"
+        "from repro.generators import load\n"
+        "from repro.observe import Tracer\n"
+        "g = load('rmat16.sym', 'tiny')\n"
+        "with Tracer() as t:\n"
+        "    connected_components(g, backend='sharded', workers=2,\n"
+        "                         force_processes=True)\n"
+        "pids = [s.attrs['pid'] for s in t.spans if s.name == 'shard:worker']\n"
+        "pids.append(forkserver._forkserver._forkserver_pid)\n"
+        "print(json.dumps(pids), flush=True)\n"
+    ) + tail
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "w") as fo, open(err, "w") as fe:
+        code = subprocess.run(
+            [sys.executable, "-c", script], env=env, stdout=fo, stderr=fe,
+            timeout=120,
+        ).returncode
+    out, err = out.read_text(), err.read_text()
+    pids = json.loads(out.splitlines()[0])
+    assert len(pids) == 3 and all(pids)
+    return code, out, err, pids
+
+
+def _survivors(pids, wait_s: float) -> list[int]:
+    """Pids still running after up to ``wait_s`` seconds; any found are
+    killed so a failing test leaves nothing behind."""
+    deadline = time.monotonic() + wait_s
+    while (alive := [p for p in pids if _alive(p)]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    for p in alive:
+        os.kill(p, signal.SIGKILL)
+    return alive
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
