@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.fastsv import fastsv_cc
-from repro.core.ecl_cc_numpy import ecl_cc_numpy, ecl_cc_numpy_dense
+from repro.core.ecl_cc_numpy import ecl_cc_numpy
 from repro.core.ecl_cc_serial import ecl_cc_serial
 from repro.generators import load, rmat
 from repro.graph.build import from_arc_arrays
@@ -45,23 +45,9 @@ def test_numpy_backend_road(benchmark, medium_road):
     assert np.all(labels == labels[0])  # single component
 
 
-# Frontier vs dense: same rounds with and without the shrinking
-# frontier, on the input classes where the difference matters most
-# (a high-diameter mesh and a low-diameter scale-free graph).
-
 def test_numpy_frontier_grid(benchmark, medium_grid):
     labels = benchmark(lambda: ecl_cc_numpy(medium_grid)[0])
     assert np.all(labels == labels[0])
-
-
-def test_numpy_dense_grid(benchmark, medium_grid):
-    labels = benchmark(lambda: ecl_cc_numpy_dense(medium_grid)[0])
-    assert np.all(labels == labels[0])
-
-
-def test_numpy_dense_rmat(benchmark, medium_rmat):
-    labels = benchmark(lambda: ecl_cc_numpy_dense(medium_rmat)[0])
-    assert labels.size == medium_rmat.num_vertices
 
 
 def test_fastsv_road(benchmark, medium_road):

@@ -1,35 +1,26 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark gate for the frontier-shrinking numpy backend.
+"""Wall-clock gate: the checks on real elapsed time that perfbench cannot make.
 
-Times the current ``ecl_cc_numpy`` against a frozen pre-change snapshot
-on the generator suite, measures ``ConnectivityService`` throughput
-against the naive recompute-per-mutation baseline under a seeded 90/10
-mixed load, verifies every backend's labels bit-for-bit against the
+Runs the selected legs of ``repro.experiments.wallclock.LEGS`` over the
+generator suite, verifies every leg's labels bit-for-bit against the
 serial reference, and writes ``BENCH_core_wallclock.json`` (schema in
-``docs/benchmarks.md``).  Exits nonzero on a label mismatch
-always, and on a missed speedup/regression threshold unless enforcement
-is disabled.
+``docs/benchmarks.md``).  Exits 2 on a label mismatch, always, and 1 on
+a missed threshold unless ``--quick``.
 
 Typical uses::
 
     # the full recorded run (the JSON committed at the repo root)
     python benchmarks/wallclock_gate.py --scale medium --repeats 3
 
-    # CI smoke: reduced suite, labels verified, thresholds not enforced
+    # CI smoke: reduced suite, labels verified, thresholds only noted
     python benchmarks/wallclock_gate.py --quick --out bench_smoke.json
 
-    # gate only the contraction family (skips the slow legacy/dense legs)
-    python benchmarks/wallclock_gate.py --quick --backends contract
-
-    # sharded strong-scaling sweep only, at K=1,2 (e.g. a 2-core CI box)
+    # one leg only: the sharded sweep at K=1,2 (e.g. a 2-core CI box)
     python benchmarks/wallclock_gate.py --quick --backends sharded --workers 1,2
 
     # out-of-core leg under a hard 2 GiB address-space cap, spills kept
     python benchmarks/wallclock_gate.py --quick --backends oocore \\
         --rlimit-as 2G --oocore-spill-dir oocore-spill
-
-    # distributed merge leg only (rounds / bytes-on-wire / recoveries)
-    python benchmarks/wallclock_gate.py --quick --backends distributed
 """
 
 from __future__ import annotations
@@ -43,9 +34,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import VerificationError  # noqa: E402
 from repro.experiments.wallclock import (  # noqa: E402
-    GATE_LEGS,
+    LEGS,
     check_gate,
     run_wallclock_gate,
+    summarize,
     write_gate_json,
 )
 
@@ -54,6 +46,14 @@ from repro.experiments.wallclock import (  # noqa: E402
 #: without paying for all 18 inputs.
 QUICK_NAMES = ["2d-2e20.sym", "USA-road-d.NY", "rmat16.sym"]
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_core_wallclock.json"
+
+
+def _csv(text: str) -> list[str]:
+    return [item for item in text.split(",") if item]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(item) for item in _csv(text)]
 
 
 def parse_size(text: str) -> int:
@@ -70,27 +70,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="medium", help="suite scale")
     parser.add_argument(
-        "--names", default="", help="comma-separated subset of suite graphs"
+        "--names", type=_csv, default=[], help="comma-separated subset of suite graphs"
     )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     parser.add_argument(
         "--backends",
-        default="",
-        help="comma-separated subset of optional measurement legs "
-        f"({', '.join(sorted(GATE_LEGS))}); default all.  The live and "
-        "frozen frontier backends are always timed; skipped legs' "
-        "columns are simply absent and check_gate treats them as exempt",
+        type=_csv,
+        default=None,
+        help=f"comma-separated subset of the gate legs ({', '.join(LEGS)}); "
+        "default all.  The live numpy backend is always timed and verified; "
+        "skipped legs' columns are absent and exempt from the checks",
     )
     parser.add_argument(
         "--workers",
-        default="",
+        type=_ints,
+        default=None,
         help="comma-separated worker counts for the sharded strong-scaling "
-        "leg (default 1,2,4); positive integers, validated like --backends",
+        "leg (default 1,2,4); positive integers",
     )
     parser.add_argument(
         "--rlimit-as",
-        default="",
+        type=parse_size,
+        default=None,
         metavar="SIZE",
         help="cap the process address space via resource.RLIMIT_AS before "
         "running (e.g. 512M, 2G) — the kernel, not just the resident "
@@ -109,148 +111,39 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="reduced suite at small scale with thresholds not enforced "
+        help="reduced suite at small scale with thresholds only noted "
         "(label verification still runs and still fails the gate)",
-    )
-    parser.add_argument(
-        "--enforce-speedup",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="fail on missed speedup/regression thresholds "
-        "(default: on, unless --quick)",
-    )
-    parser.add_argument("--min-speedup", type=float, default=3.0)
-    parser.add_argument("--max-regression", type=float, default=0.05)
-    parser.add_argument("--min-service-speedup", type=float, default=10.0)
-    parser.add_argument(
-        "--service-ops",
-        type=int,
-        default=20_000,
-        help="mixed read/write ops per graph for the serving columns "
-        "(0 skips them)",
     )
     args = parser.parse_args(argv)
 
     scale = "small" if args.quick and args.scale == "medium" else args.scale
-    names = [n for n in args.names.split(",") if n] or (
-        QUICK_NAMES if args.quick else None
-    )
-    backends = [b for b in args.backends.split(",") if b] or None
-    workers = None
-    if args.workers:
-        try:
-            workers = [int(w) for w in args.workers.split(",") if w]
-        except ValueError:
-            print(
-                f"FAIL: --workers {args.workers!r} is not a comma-separated "
-                f"list of integers",
-                file=sys.stderr,
-            )
-            return 2
-    enforce = (
-        not args.quick if args.enforce_speedup is None else args.enforce_speedup
-    )
-    if args.rlimit_as:
-        try:
-            import resource
-        except ImportError:  # pragma: no cover - non-POSIX
-            print(
-                "FAIL: --rlimit-as needs the resource module (POSIX only)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            cap = parse_size(args.rlimit_as)
-        except ValueError as exc:
-            print(f"FAIL: --rlimit-as: {exc}", file=sys.stderr)
-            return 2
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    names = args.names or (QUICK_NAMES if args.quick else None)
+    if args.rlimit_as is not None:
+        import resource  # POSIX only
+
+        resource.setrlimit(resource.RLIMIT_AS, (args.rlimit_as, args.rlimit_as))
 
     try:
         payload = run_wallclock_gate(
             scale=scale,
             names=names,
             repeats=args.repeats,
-            verify=True,
-            service_ops=args.service_ops,
-            backends=backends,
-            workers=workers,
+            backends=args.backends or None,
+            workers=args.workers or None,
             oocore_spill_dir=args.oocore_spill_dir,
         )
     except VerificationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
     path = write_gate_json(payload, args.out)
-
-    width = max(len(r["name"]) for r in payload["graphs"])
-    for row in payload["graphs"]:
-        parts = [f"{row['name']:{width}s}"]
-        if "before_ms" in row:
-            parts.append(
-                f"before {row['before_ms']:9.2f} ms  "
-                f"speedup {row['speedup']:5.2f}x"
-            )
-        parts.append(
-            f"frontier {row['after_ms']:9.2f} ms  "
-            f"frozen {row['frozen_frontier_ms']:9.2f} ms"
-        )
-        if "contract_ms" in row:
-            parts.append(
-                f"contract {row['contract_ms']:9.2f} ms  "
-                f"best {row['best_backend']:8s} {row['best_speedup']:5.2f}x  "
-                f"compiled {row['compiled_speedup']:5.2f}x"
-            )
-        if "resilient_ms" in row:
-            parts.append(
-                f"resilient {row['resilient_ms']:9.2f} ms "
-                f"({row['supervisor_overhead']:+.1%})"
-            )
-        if "scaling" in row:
-            curve = " ".join(
-                f"K{k}={ms:.2f}" for k, ms in row["scaling"].items()
-            )
-            parts.append(
-                f"sharded [{curve}] ms  scaling {row['scaling_speedup']:4.2f}x"
-            )
-        if "oocore_ms" in row:
-            parts.append(
-                f"oocore {row['oocore_ms']:9.2f} ms  "
-                f"peak {row['oocore_peak_bytes'] / 1e6:7.2f}"
-                f"/{row['oocore_budget_bytes'] / 1e6:.2f} MB  "
-                f"shards {row['oocore_shards']}"
-            )
-        if "service_qps" in row:
-            parts.append(
-                f"service {row['service_qps']:9.0f} q/s "
-                f"({row['service_speedup']:6.0f}x naive)"
-            )
-        if row["high_diameter"]:
-            parts.append("[high-diameter]")
-        print("  ".join(parts))
-    if "oocore_demo" in payload:
-        d = payload["oocore_demo"]
-        print(
-            f"oocore demo: {d['graph']}  csr {d['oocore_csr_bytes'] / 1e6:.2f} "
-            f"MB streamed under a {d['oocore_budget_bytes'] / 1e6:.2f} MB "
-            f"budget (peak {d['oocore_peak_bytes'] / 1e6:.2f} MB, ceiling "
-            f"{d['oocore_ceiling']:.1f}x, {d['oocore_shards']} shards, "
-            f"{d['oocore_merge_passes']} merge passes, "
-            f"{d['oocore_ms']:.1f} ms)"
-        )
+    for line in summarize(payload):
+        print(line)
     print(f"wrote {path}")
 
-    problems = check_gate(
-        payload,
-        min_speedup=args.min_speedup,
-        max_regression=args.max_regression,
-        min_service_speedup=args.min_service_speedup,
-    )
-    if problems:
-        for p in problems:
-            print(("FAIL: " if enforce else "note: ") + p, file=sys.stderr)
-        if enforce:
-            return 1
-    return 0
+    problems = check_gate(payload)
+    for p in problems:
+        print(("note: " if args.quick else "FAIL: ") + p, file=sys.stderr)
+    return 1 if problems and not args.quick else 0
 
 
 if __name__ == "__main__":

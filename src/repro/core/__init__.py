@@ -10,7 +10,7 @@ from .api import (
     unregister_backend,
 )
 from .contract import ContractRunStats, contract_cc
-from .ecl_cc_numpy import NumpyRunStats, ecl_cc_numpy, ecl_cc_numpy_dense
+from .ecl_cc_numpy import NumpyRunStats, ecl_cc_numpy
 from .ecl_cc_serial import SerialRunStats, ecl_cc_serial
 from .labels import (
     canonicalize,
@@ -38,7 +38,6 @@ __all__ = [
     "contract_cc",
     "NumpyRunStats",
     "ecl_cc_numpy",
-    "ecl_cc_numpy_dense",
     "SerialRunStats",
     "ecl_cc_serial",
     "canonicalize",

@@ -19,10 +19,6 @@ round — rather than to m edges and n vertices.  The backend converges in
 O(log n) rounds and is the fastest native backend for medium/large
 graphs, so it doubles as the reference runner for wall-clock benchmarks
 (see ``benchmarks/wallclock_gate.py``).
-
-:func:`ecl_cc_numpy_dense` preserves the pre-frontier bulk-synchronous
-formulation (full edge scan + ``np.minimum.at`` + whole-array flatten
-per round) as the recorded baseline those benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from ..observe import current_tracer
 from .frontier import flatten_active, hook_until_fixpoint
 from .variants import init_vectorized
 
-__all__ = ["NumpyRunStats", "ecl_cc_numpy", "ecl_cc_numpy_dense"]
+__all__ = ["NumpyRunStats", "ecl_cc_numpy"]
 
 
 @dataclass
@@ -48,7 +44,7 @@ class NumpyRunStats:
     ``frontier_sizes[i]`` is the number of representative pairs hooked
     in round ``i`` (deduplicated when the round ran sparse);
     ``edges_scanned`` totals the pair evaluations across rounds (the
-    work the dense formulation would have spent ``m * hook_rounds`` on).
+    work a full edge scan per round would have spent ``m * hook_rounds`` on).
     """
 
     hook_rounds: int = 0
@@ -92,45 +88,3 @@ def ecl_cc_numpy(
         )
     return parent, stats
 
-
-def _flatten_dense(parent: np.ndarray, stats: NumpyRunStats) -> np.ndarray:
-    """Whole-array pointer doubling (the pre-frontier formulation)."""
-    while True:
-        grandparent = parent[parent]
-        if np.array_equal(grandparent, parent):
-            return parent
-        stats.doubling_passes += 1
-        parent = grandparent
-
-
-def ecl_cc_numpy_dense(
-    graph: CSRGraph, *, init: str = "Init3"
-) -> tuple[np.ndarray, NumpyRunStats]:
-    """The pre-frontier bulk-synchronous formulation, kept as a baseline.
-
-    Every hook round re-evaluates all m edges through an unbuffered
-    ``np.minimum.at`` scatter and every flatten pass pointer-doubles all
-    n vertices.  The wall-clock gate benchmarks this against
-    :func:`ecl_cc_numpy` to record the frontier formulation's speedup;
-    it is also a useful work-inefficiency ablation in its own right.
-    """
-    stats = NumpyRunStats()
-    parent = init_vectorized(graph, init)
-    if graph.num_vertices == 0:
-        return parent, stats
-    u, v = graph.edge_array()
-    parent = _flatten_dense(parent, stats)
-    while True:
-        ru = parent[u]
-        rv = parent[v]
-        stats.edges_scanned += u.size
-        unmerged = ru != rv
-        if not unmerged.any():
-            break
-        stats.hook_rounds += 1
-        stats.frontier_sizes.append(int(np.count_nonzero(unmerged)))
-        hi = np.maximum(ru[unmerged], rv[unmerged])
-        lo = np.minimum(ru[unmerged], rv[unmerged])
-        np.minimum.at(parent, hi, lo)
-        parent = _flatten_dense(parent, stats)
-    return parent, stats

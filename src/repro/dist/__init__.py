@@ -19,7 +19,7 @@ recovery guarantees, and every tuning knob.
 """
 
 from .coordinator import DistRunStats, active_host_scratch_dirs, dist_cc
-from .host import HostRuntime, ShardState, solve_shard_full
+from .host import HostRuntime, ShardState
 from .network import (
     MESSAGE_KINDS,
     Message,
@@ -42,5 +42,4 @@ __all__ = [
     "active_host_scratch_dirs",
     "dist_cc",
     "live_network_threads",
-    "solve_shard_full",
 ]

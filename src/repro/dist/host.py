@@ -32,57 +32,15 @@ from ..errors import HostCrashError
 from ..graph.csr import CSRGraph
 from ..resilience.faults import FaultEvent, FaultSpec
 from ..shard.partition import ShardPlan
+from ..shard.worker import solve_slice_all_arcs
 from .network import Message, SimNetwork
 from .protocol import Backoff, DistConfig
 
-__all__ = ["HostRuntime", "ShardState", "solve_shard_full"]
+__all__ = ["HostRuntime", "ShardState"]
 
 
 class _Halted(Exception):
     """Internal: the coordinator told this host to stop mid-round."""
-
-
-def solve_shard_full(
-    graph: CSRGraph, start: int, end: int, backend: str = "numpy"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Like :func:`repro.shard.worker.solve_shard_local` but keeping
-    **every** incident cross arc, both directions.
-
-    The sharded merge keeps only ``u < v`` arcs (each undirected edge
-    stitched once, centrally); a dist host instead needs the full
-    adjacency of its frontier — it must know *all* remote vertices its
-    shard touches to route updates, and all local vertices each remote
-    label candidate feeds.
-    """
-    count = end - start
-    if count <= 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    rp = graph.row_ptr[start : end + 1]
-    base = int(rp[0])
-    cols = graph.col_idx[base : int(rp[-1])]
-    local_mask = (cols >= start) & (cols < end)
-
-    csum = np.empty(cols.size + 1, dtype=np.int64)
-    csum[0] = 0
-    np.cumsum(local_mask, out=csum[1:])
-    local_rp = csum[np.asarray(rp) - base]
-    local_cols = np.asarray(cols[local_mask]) - start
-    local = CSRGraph(local_rp, local_cols, name=f"{graph.name}[{start}:{end}]")
-
-    from ..core.api import connected_components
-
-    labels = connected_components(local, backend=backend, full_result=False) + start
-
-    out_idx = np.flatnonzero(~local_mask)
-    if out_idx.size:
-        bu = np.searchsorted(rp, out_idx + base, side="right") - 1 + start
-        bv = np.ascontiguousarray(cols[out_idx]).view(np.ndarray)
-        bu = np.ascontiguousarray(bu).view(np.ndarray)
-    else:
-        bu = np.empty(0, dtype=np.int64)
-        bv = np.empty(0, dtype=np.int64)
-    return labels, bu, bv
 
 
 class ShardState:
@@ -102,7 +60,13 @@ class ShardState:
         self.start, self.end = plan.range_of(shard)
         n = graph.num_vertices
         self._inf = n  # labels are < n, so n reads as "never sent/seen"
-        init, bu, bv = solve_shard_full(graph, self.start, self.end, backend)
+        # Every incident cross arc, both directions: a host must know all
+        # remote vertices its shard touches to route updates, and all
+        # local vertices each remote label candidate feeds.
+        rp = graph.row_ptr[self.start : self.end + 1]
+        cols = graph.col_idx[int(rp[0]) : int(rp[-1])]
+        name = f"{graph.name}[{self.start}:{self.end}]"
+        init, bu, bv = solve_slice_all_arcs(rp, cols, self.start, self.end, backend, name)
         self.init = init  # local index -> component key (global id)
         self.cur = np.arange(self.start, self.end, dtype=np.int64)
 
@@ -145,30 +109,30 @@ class ShardState:
     def apply_remote(self, verts: np.ndarray, labels: np.ndarray) -> bool:
         """Min-merge remote candidates ``labels[i]`` at remote vertices
         ``verts[i]``; returns whether any local component lowered."""
-        if verts.size == 0:
+        if verts.size == 0 or self.ext_verts.size == 0:
             return False
         idx = np.searchsorted(self.ext_verts, verts)
-        np.minimum(idx, max(self.ext_verts.size - 1, 0), out=idx)
-        valid = self.ext_verts.size > 0
-        keep = (
-            (self.ext_verts[idx] == verts) & (labels < self.ext_best[idx])
-            if valid
-            else np.zeros(verts.size, dtype=bool)
-        )
+        np.minimum(idx, self.ext_verts.size - 1, out=idx)
+        keep = (self.ext_verts[idx] == verts) & (labels < self.ext_best[idx])
         if not keep.any():
             return False
         pos = idx[keep]
         labs = labels[keep]
         self.ext_best[pos] = labs
-        changed = False
-        for p, c in zip(pos.tolist(), labs.tolist()):
-            lo, hi = int(self._in_off[p]), int(self._in_off[p + 1])
-            slots = self._slots(self._in_u[lo:hi])
-            lower = c < self.cur[slots]
-            if lower.any():
-                self.cur[slots[lower]] = c
-                changed = True
-        return changed
+        # Fan each candidate out over its remote vertex's incoming arcs:
+        # arc k of candidate i sits at _in_off[pos[i]] + k.
+        lo = self._in_off[pos]
+        counts = self._in_off[pos + 1] - lo
+        arcs = np.arange(int(counts.sum())) + np.repeat(
+            lo - (np.cumsum(counts) - counts), counts
+        )
+        slots = self._slots(self._in_u[arcs])
+        cand = np.repeat(labs, counts)
+        lower = cand < self.cur[slots]
+        if not lower.any():
+            return False
+        np.minimum.at(self.cur, slots[lower], cand[lower])
+        return True
 
     # -- outgoing --------------------------------------------------------
     def outgoing(self, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

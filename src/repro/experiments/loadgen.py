@@ -18,7 +18,7 @@ components rather than being duplicate no-ops.  Deletions tombstone
 previously inserted edges and force static recomputes, exercising the
 slow path too.
 
-:func:`compare_loadgen` is what the wall-clock gate (schema v3) and the
+:func:`compare_loadgen` is what the wall-clock gate's ``service`` leg and the
 ``service-smoke`` CI job call; it returns queries/sec for both sides
 plus the speedup, and differentially verifies the post-run
 ``labels_snapshot()`` against the scipy oracle.
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.api import connected_components
+from ..errors import VerificationError
 from ..graph.csr import CSRGraph
 from ..graph.build import from_arc_arrays
 from ..service import BatchPolicy, ConnectivityService
@@ -333,32 +334,24 @@ def compare_loadgen(
     seed: int = 0,
     policy: BatchPolicy | None = None,
     naive_max_ops: int | None = 2_000,
-    verify: bool = True,
 ) -> dict:
     """Service-vs-naive throughput on one graph; the gate's service row.
 
     Returns a dict with ``service_qps``, ``naive_qps``,
-    ``service_speedup`` and the two raw results.  With ``verify=True``
-    the service's final ``labels_snapshot()`` is differentially checked
-    against the scipy oracle on the final edge set (raises
-    ``AssertionError`` on mismatch).
+    ``service_speedup`` and the two raw results.  The service's final
+    ``labels_snapshot()`` is differentially checked against the scipy
+    oracle on the final edge set (raises :class:`VerificationError` on
+    mismatch).
     """
     ops = build_ops(
         graph, num_ops=num_ops, read_fraction=read_fraction, seed=seed
     )
     service_res, svc = run_service_loadgen(ops, policy=policy)
     naive_res = run_naive_loadgen(ops, max_ops=naive_max_ops)
-    verified = False
-    if verify:
-        final = svc.current_graph()
-        ref = reference_labels(final)
-        got = svc.labels_snapshot()
-        if not np.array_equal(got, ref):
-            raise AssertionError(
-                f"service labels diverged from oracle on {graph.name} "
-                f"(seed={seed})"
-            )
-        verified = True
+    if not np.array_equal(svc.labels_snapshot(), reference_labels(svc.current_graph())):
+        raise VerificationError(
+            f"service labels diverged from oracle on {graph.name} (seed={seed})"
+        )
     return {
         "graph": graph.name,
         "num_vertices": graph.num_vertices,
@@ -370,7 +363,7 @@ def compare_loadgen(
         "service_speedup": (
             service_res.qps / naive_res.qps if naive_res.qps > 0 else float("inf")
         ),
-        "verified": verified,
+        "verified": True,
         "service": service_res.to_dict(),
         "naive": naive_res.to_dict(),
     }

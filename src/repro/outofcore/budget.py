@@ -9,7 +9,7 @@ allocation the runner holds is **charged** against a
 :class:`~repro.errors.MemoryBudgetError` *before* the allocation is
 made, and the high-water mark is reported as
 ``peak_resident_bytes`` on the run stats (and enforced by the
-wall-clock gate's schema-v6 columns).
+wall-clock gate's oocore leg).
 
 Charges are sized from the array lengths being loaded, scaled by
 documented work factors that cover the transient arrays the solve makes

@@ -5,6 +5,8 @@ contiguous vertex range of a CSR graph into a local CSR (one ``cumsum``
 over an arc mask — no renumbering table, a property of contiguous
 partitions), run a registered ECL-CC backend on it, and report the
 shard's global labels plus its cross-shard boundary arcs.
+:func:`solve_slice_all_arcs` is the one copy of that slice-and-solve
+step; the distributed hosts call it for the arcs in both directions.
 
 :func:`shard_worker` is the picklable process entry point the
 :class:`~repro.shard.runner.ShardedExecutor` submits to its pool.  It
@@ -27,7 +29,7 @@ from ..errors import WorkerCrashError
 from ..graph.csr import CSRGraph, SharedGraphHandle, _attach_segment
 from ..observe import Tracer, current_tracer
 
-__all__ = ["shard_worker", "solve_csr_slice", "solve_shard_local"]
+__all__ = ["shard_worker", "solve_csr_slice", "solve_shard_local", "solve_slice_all_arcs"]
 
 #: Backends a shard may run locally.  Deliberately excludes "sharded"
 #: (no recursive process trees) and the simulated-hardware backends,
@@ -76,10 +78,31 @@ def solve_csr_slice(
     without the full graph ever existing in memory.  Same return shape
     as :func:`solve_shard_local`.
     """
-    count = end - start
-    if count <= 0:
+    return _solve_slice(rp, cols, start, end, backend, name, low_half=True)
+
+
+def solve_slice_all_arcs(
+    rp: np.ndarray,
+    cols: np.ndarray,
+    start: int,
+    end: int,
+    backend: str = "numpy",
+    name: str = "shard",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_csr_slice`, but keeping the cross arcs in *both*
+    directions: every arc ``(u, v)`` with ``u`` in ``[start, end)`` and
+    ``v`` outside it, in CSR order.  A distributed host needs that full
+    frontier; the sharded merge stitches each edge once, from its low
+    endpoint."""
+    return _solve_slice(rp, cols, start, end, backend, name, low_half=False)
+
+
+def _solve_slice(rp, cols, start, end, backend, name, *, low_half):
+    """Slice, solve, and return the cross arcs (only ``u < v`` if ``low_half``)."""
+    if end <= start:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
+    rp = np.asarray(rp)
     base = int(rp[0])
     with current_tracer().span("shard:slice", category="shard", arcs=int(cols.size)):
         local_mask = (cols >= start) & (cols < end)
@@ -89,7 +112,7 @@ def solve_csr_slice(
         csum = np.empty(cols.size + 1, dtype=np.int64)
         csum[0] = 0
         np.cumsum(local_mask, out=csum[1:])
-        local_rp = csum[np.asarray(rp) - base]
+        local_rp = csum[rp - base]
         local_cols = np.asarray(cols[local_mask]) - start
         local = CSRGraph(local_rp, local_cols, name=name)
 
@@ -98,21 +121,18 @@ def solve_csr_slice(
     labels = connected_components(local, backend=backend, full_result=False)
     labels = labels + start
 
-    # Boundary arcs: sources recovered from the arc offsets by one
-    # searchsorted against the shard's row pointers.
+    # Cross arcs stay in row order, so their sources are the shard's
+    # vertices, each repeated by its count of arcs leaving the shard.
     with current_tracer().span("shard:boundary", category="shard") as span:
-        out_idx = np.flatnonzero(~local_mask)
-        if out_idx.size:
-            bu = np.searchsorted(rp, out_idx + base, side="right") - 1 + start
-            bv = cols[out_idx]
+        bu = np.repeat(
+            np.arange(start, end, dtype=np.int64), np.diff(rp) - np.diff(local_rp)
+        )
+        # A plain ndarray even when cols is an np.memmap view (boolean
+        # indexing preserves the subclass).
+        bv = np.asarray(cols[~local_mask])
+        if low_half:
             keep = bu < bv
-            # Plain contiguous ndarrays even when cols is an np.memmap view
-            # (fancy indexing preserves the subclass).
-            bu = np.ascontiguousarray(bu[keep]).view(np.ndarray)
-            bv = np.ascontiguousarray(bv[keep]).view(np.ndarray)
-        else:
-            bu = np.empty(0, dtype=np.int64)
-            bv = np.empty(0, dtype=np.int64)
+            bu, bv = bu[keep], bv[keep]
         span.set("boundary", int(bu.size))
     return labels, bu, bv
 

@@ -2,8 +2,12 @@
 round/byte accounting, registry dispatch, and the SimNetwork / Backoff
 unit surfaces."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.api import connected_components
 from repro.dist import (
@@ -11,9 +15,9 @@ from repro.dist import (
     Backoff,
     DistConfig,
     Message,
+    ShardState,
     SimNetwork,
     dist_cc,
-    solve_shard_full,
 )
 from repro.errors import UnknownOptionError
 from repro.generators.suite import load
@@ -133,10 +137,75 @@ class TestRegistry:
 class TestShardSolve:
     def test_full_slice_keeps_all_incident_arcs(self):
         # u < v filtering would lose the (2,1) arc seen from shard [2,4).
+        from repro.shard.worker import solve_slice_all_arcs
+
         g = from_edges([(1, 2), (2, 3)], num_vertices=4)
-        labels, bu, bv = solve_shard_full(g, 2, 4, "numpy")
+        rp = g.row_ptr[2:5]
+        labels, bu, bv = solve_slice_all_arcs(rp, g.col_idx[rp[0] : rp[-1]], 2, 4)
         assert labels.size == 2
         assert set(zip(bu.tolist(), bv.tolist())) == {(2, 1)}
+
+
+def _loop_apply_remote(state, verts, labels):
+    """``ShardState.apply_remote`` as a per-vertex loop (the formulation
+    the vectorized one replaced), on the same state."""
+    if verts.size == 0 or state.ext_verts.size == 0:
+        return False
+    idx = np.minimum(np.searchsorted(state.ext_verts, verts), state.ext_verts.size - 1)
+    keep = (state.ext_verts[idx] == verts) & (labels < state.ext_best[idx])
+    pos, labs = idx[keep], labels[keep]
+    state.ext_best[pos] = labs
+    changed = False
+    for p, c in zip(pos.tolist(), labs.tolist()):
+        slots = state._slots(state._in_u[state._in_off[p] : state._in_off[p + 1]])
+        lower = c < state.cur[slots]
+        if lower.any():
+            state.cur[slots[lower]] = c
+            changed = True
+    return changed
+
+
+class TestApplyRemote:
+    @staticmethod
+    def _state(rng, start, size, n_ext, n):
+        state = ShardState.__new__(ShardState)
+        state.start, state.end, state._inf = start, start + size, n
+        state.init = start + rng.integers(0, size, size=size)
+        state.cur = rng.integers(0, n, size=size)
+        state.ext_verts = np.unique(rng.integers(start + size, n, size=n_ext))
+        counts = rng.integers(0, 4, size=state.ext_verts.size)
+        state._in_off = np.concatenate(([0], np.cumsum(counts)))
+        state._in_u = rng.integers(start, start + size, size=int(counts.sum()))
+        state.ext_best = np.where(
+            rng.random(state.ext_verts.size) < 0.5,
+            n,
+            rng.integers(0, n, size=state.ext_verts.size),
+        )
+        return state
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 30),
+        n_ext=st.integers(0, 20),
+        batches=st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_vertex_loop(self, seed, size, n_ext, batches):
+        rng = np.random.default_rng(seed)
+        start, n = 10, 10 + size + 25
+        vec = self._state(rng, start, size, n_ext, n)
+        loop = copy.deepcopy(vec)
+        for _ in range(batches):
+            # Candidates at known remote vertices (duplicates included)
+            # and at vertices this shard never touches.
+            k = int(rng.integers(0, 12))
+            verts = rng.integers(start + size, n, size=k)
+            labels = rng.integers(0, n, size=k)
+            assert vec.apply_remote(verts, labels) == _loop_apply_remote(
+                loop, verts, labels
+            )
+            assert np.array_equal(vec.cur, loop.cur)
+            assert np.array_equal(vec.ext_best, loop.ext_best)
 
 
 class TestSimNetwork:

@@ -149,29 +149,17 @@ def _adversarial_graphs():
 
 def test_frontier_backends_match_serial_on_adversarial_graphs():
     from repro.baselines.fastsv import fastsv_cc
-    from repro.core.ecl_cc_numpy import ecl_cc_numpy_dense
     from repro.extensions.afforest import afforest_cc
 
     for g in _adversarial_graphs():
         expected, _ = ecl_cc_serial(g)
         for name, got in (
             ("numpy", ecl_cc_numpy(g)[0]),
-            ("numpy-dense", ecl_cc_numpy_dense(g)[0]),
             ("fastsv", fastsv_cc(g)[0]),
             ("afforest", afforest_cc(g).labels),
         ):
             assert np.array_equal(got, expected), (g.name, name)
             assert got.dtype == expected.dtype
-
-
-@given(graphs())
-@SLOW
-def test_numpy_dense_matches_serial(g):
-    from repro.core.ecl_cc_numpy import ecl_cc_numpy_dense
-
-    a, _ = ecl_cc_numpy_dense(g)
-    b, _ = ecl_cc_serial(g)
-    assert np.array_equal(a, b)
 
 
 @given(graphs())

@@ -19,10 +19,13 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import connected_components
 from repro.errors import GraphValidationError
@@ -185,6 +188,53 @@ class TestLocalSolve:
         g = load("rmat16.sym", "tiny")
         labels, bu, bv = solve_shard_local(g, 5, 5)
         assert labels.size == 0 and bu.size == 0 and bv.size == 0
+
+    @staticmethod
+    def _searchsorted_cross(rp, cols, start, end):
+        """The boundary formula before the row-expansion rewrite: every
+        arc leaving the shard, its source found by binary search."""
+        base = int(rp[0])
+        out_idx = np.flatnonzero(~((cols >= start) & (cols < end)))
+        bu = np.searchsorted(rp, out_idx + base, side="right") - 1 + start
+        return bu, cols[out_idx]
+
+    @given(
+        n=st.integers(1, 40),
+        edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=80),
+        cut=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cross_arcs_match_searchsorted_formula(self, n, edges, cut):
+        from repro.shard.worker import solve_csr_slice, solve_slice_all_arcs
+
+        # Vertices past the last edge endpoint give empty rows.
+        g = from_edges([(u, v) for u, v in edges if u < n and v < n], num_vertices=n)
+        start, end = sorted(min(c, n) for c in cut)
+        with tempfile.TemporaryDirectory() as tmp:
+            mapped = []
+            for arr, fname in ((g.row_ptr, "rp"), (g.col_idx, "cols")):
+                mm = np.memmap(os.path.join(tmp, fname), dtype=arr.dtype,
+                               mode="w+", shape=max(arr.size, 1))
+                mm[: arr.size] = arr
+                mapped.append(mm[: arr.size])
+            # The shard under test, an empty shard, and the whole graph
+            # (a shard with no arcs leaving it), on in-memory arrays and
+            # on np.memmap views alike.
+            for lo, hi in ((start, end), (start, start), (0, n)):
+                for row_ptr, col_idx in ((g.row_ptr, g.col_idx), mapped):
+                    rp = row_ptr[lo : hi + 1]
+                    cols = col_idx[int(rp[0]) : int(rp[-1])]
+                    labels, bu, bv = solve_slice_all_arcs(rp, cols, lo, hi)
+                    want_u, want_v = self._searchsorted_cross(rp, cols, lo, hi)
+                    assert bu.tolist() == want_u.tolist()
+                    assert bv.tolist() == want_v.tolist()
+                    assert type(bu) is np.ndarray and type(bv) is np.ndarray
+                    low, lu, lv = solve_csr_slice(rp, cols, lo, hi)
+                    keep = want_u < want_v
+                    assert lu.tolist() == want_u[keep].tolist()
+                    assert lv.tolist() == want_v[keep].tolist()
+                    assert np.array_equal(low, labels)
+            del mapped, mm
 
     def test_merge_boundary_resolves_global_minimum(self):
         # Two shard-local components joined by one crossing edge.

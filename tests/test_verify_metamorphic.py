@@ -1,4 +1,4 @@
-"""Metamorphic regression pins: frontier, dense, FastSV, Afforest, the
+"""Metamorphic regression pins: frontier, FastSV, Afforest, the
 out-of-core streamer, and the distributed merge must satisfy the
 solver-independent invariants."""
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.api import connected_components
-from repro.core.ecl_cc_numpy import ecl_cc_numpy_dense
 from repro.generators.suite import load
 from repro.graph.build import from_edges
 from repro.verify import METAMORPHIC_CHECKS
@@ -16,7 +15,7 @@ from repro.verify.metamorphic import (
     shuffle_adjacency,
 )
 
-FAST_BACKENDS = ("numpy", "numpy-dense", "fastsv")
+FAST_BACKENDS = ("numpy", "fastsv")
 SIM_BACKENDS = ("afforest",)
 
 
@@ -30,8 +29,6 @@ def _graphs():
 
 
 def _runner(backend):
-    if backend == "numpy-dense":  # the dense ablation is not registered
-        return lambda g: ecl_cc_numpy_dense(g)[0]
     return lambda g: connected_components(g, backend=backend, full_result=False)
 
 
