@@ -87,7 +87,7 @@ class BackendSpec:
     """Registry entry: a runner plus the options it accepts."""
 
     name: str
-    run: Callable[..., CCResult]  # (graph, **options) -> CCResult
+    run: Callable[..., object]  # (graph, **options) -> see register_backend
     options: Mapping[str, OptionSpec] = field(default_factory=dict)
     description: str = ""
 
@@ -286,32 +286,16 @@ def count_components(graph: CSRGraph, *, backend: str = "numpy", **options) -> i
 # ----------------------------------------------------------------------
 # Built-in backends
 # ----------------------------------------------------------------------
-def _run_serial(graph: CSRGraph, **options) -> CCResult:
+def _run_serial(graph: CSRGraph, **options):
     from .ecl_cc_serial import ecl_cc_serial
 
-    t0 = time.perf_counter()
-    labels, stats = ecl_cc_serial(graph, **options)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return CCResult(
-        labels=labels,
-        backend="serial",
-        stats=stats,
-        timings={"total_ms": wall_ms, "wall_ms": wall_ms},
-    )
+    return ecl_cc_serial(graph, **options)
 
 
-def _run_numpy(graph: CSRGraph, **options) -> CCResult:
+def _run_numpy(graph: CSRGraph, **options):
     from .ecl_cc_numpy import ecl_cc_numpy
 
-    t0 = time.perf_counter()
-    labels, stats = ecl_cc_numpy(graph, **options)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return CCResult(
-        labels=labels,
-        backend="numpy",
-        stats=stats,
-        timings={"total_ms": wall_ms, "wall_ms": wall_ms},
-    )
+    return ecl_cc_numpy(graph, **options)
 
 
 def _run_gpu(graph: CSRGraph, **options) -> CCResult:
@@ -340,18 +324,10 @@ def _run_omp(graph: CSRGraph, **options) -> CCResult:
     return CCResult(labels=res.labels, backend="omp", stats=res, timings=timings)
 
 
-def _run_contract(graph: CSRGraph, **options) -> CCResult:
+def _run_contract(graph: CSRGraph, **options):
     from .contract import contract_cc
 
-    t0 = time.perf_counter()
-    labels, stats = contract_cc(graph, **options)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return CCResult(
-        labels=labels,
-        backend="contract",
-        stats=stats,
-        timings={"total_ms": wall_ms, "wall_ms": wall_ms},
-    )
+    return contract_cc(graph, **options)
 
 
 def _run_sharded(graph: CSRGraph, **options) -> CCResult:
@@ -383,18 +359,10 @@ def _run_distributed(graph: CSRGraph, **options) -> CCResult:
     return dist_cc(graph, **options)
 
 
-def _run_fastsv(graph: CSRGraph, **options) -> CCResult:
+def _run_fastsv(graph: CSRGraph, **options):
     from ..baselines.fastsv import fastsv_cc  # deferred
 
-    t0 = time.perf_counter()
-    labels, stats = fastsv_cc(graph, **options)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return CCResult(
-        labels=labels,
-        backend="fastsv",
-        stats=stats,
-        timings={"total_ms": wall_ms, "wall_ms": wall_ms},
-    )
+    return fastsv_cc(graph, **options)
 
 
 def _run_afforest(graph: CSRGraph, **options) -> CCResult:

@@ -121,24 +121,6 @@ class IncrementalConnectivity:
         self._num_components -= merges
         return merges
 
-    def reset_from_labels(self, labels: np.ndarray) -> None:
-        """Overwrite the structure from a canonical label array (e.g. a
-        fresh static recompute): ``parent := labels`` is a valid
-        depth-zero union-find state under the minimum-member convention,
-        and the component count is the number of label fixpoints."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != self.parent.shape:
-            raise ValueError(
-                f"labels shape {labels.shape} does not match "
-                f"{self.parent.shape}"
-            )
-        self.parent = labels.copy()
-        self._num_components = int(
-            np.count_nonzero(
-                self.parent == np.arange(self.parent.size, dtype=np.int64)
-            )
-        )
-
     def connected(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` are currently in the same component."""
         self._check(u)

@@ -27,41 +27,39 @@ Consistency model
 * **Read-your-writes** is available per ticket: ``ticket.result()``
   blocks until the batch containing the mutation has committed.
 
-Static-vs-incremental policy
-----------------------------
-Insert-only batches are absorbed by the vectorized union-find rounds of
-:meth:`repro.extensions.incremental.IncrementalConnectivity.add_edges`.
-Following the static/incremental tradeoff mapped by Hong, Dhulipala &
-Shun (*Exploring the Design Space of Static and Incremental Graph
-Connectivity Algorithms on GPUs*), a batch that merges more than
-``policy.recompute_merge_frac`` of the live components triggers a full
-static recompute with the fast frontier backend — bulk restructuring is
-cheaper re-derived than replayed — and any batch containing deletions
-always recomputes (decremental connectivity cannot be expressed as
-union-find updates).  Recomputes run under the
-:mod:`repro.resilience` supervisor, so a failing backend degrades down
-the chain instead of failing the batch.
+Update policy
+-------------
+Every batch runs on one engine, the vectorized union-find rounds of
+:meth:`repro.extensions.incremental.IncrementalConnectivity.add_edges`
+(:func:`repro.core.frontier.hook_until_fixpoint`, the hook loop of the
+static ``numpy`` backend), as Hong, Dhulipala & Shun argue for static
+and incremental connectivity (*Exploring the Design Space of Static and
+Incremental Graph Connectivity Algorithms on GPUs*).  An insert-only
+batch is hooked into the current forest.  A batch containing a deletion
+cannot be expressed as union-find updates, so it *re-seeds*: a fresh
+forest hooks every live edge straight from the edge store's endpoint
+arrays (no CSR is built) and is flattened, so the snapshot it publishes
+has depth-zero chains.  Construction seeds the forest the same way.
 
 Observability: every applied batch records a ``service:batch`` span with
-size/mode/merge attributes (static batches nest ``service:rebuild`` and
-``service:recompute`` inside it), plus ``service.*`` counters and
+size/mode/merge attributes (a re-seeding batch nests one
+``service:recompute`` span inside it), plus ``service.*`` counters and
 queue-depth / cache-hit-rate gauges, on the tracer captured at
 construction time.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import QueueFullError
 from ..core.frontier import flatten_active
-from ..extensions.incremental import IncrementalConnectivity
+from ..extensions.incremental import VECTOR_THRESHOLD, IncrementalConnectivity
 from ..graph.csr import CSRGraph
 from ..observe import current_tracer, use_tracer
 from .store import EdgeStore
@@ -78,26 +76,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Tuning knobs for the micro-batcher and the update policy."""
+    """Tuning knobs for the micro-batching queue and the edge store."""
 
     #: Flush as soon as the pending batch carries this many edges.
     max_batch_size: int = 1024
     #: ... or as soon as the oldest pending mutation is this old.
     max_latency_s: float = 0.010
-    #: Insert-only batches merging more than this fraction of the live
-    #: components fall back to a full static recompute (the Hong et al.
-    #: crossover); ``1.0`` disables the fallback, ``0.0`` forces static.
-    recompute_merge_frac: float = 0.25
-    #: Backend for full recomputes (the head of the resilience chain).
-    #: ``"auto"`` races the native backends (frontier vs contraction)
-    #: once on the actual live graph, verifies they agree bit-for-bit,
-    #: and caches the winner until the edge count drifts by more than
-    #: 2x — so recomputes use the fastest verified backend for the
-    #: graph class being served rather than a fixed choice.
-    recompute_backend: str = "auto"
-    #: Route recomputes through the resilient supervisor, degrading
-    #: ``recompute_backend -> serial`` on failure.
-    resilient: bool = True
     #: Compact the edge store once tombstones pass this fraction.
     compact_tombstone_frac: float = 0.25
     #: Bound on queued (un-drained) edges: a submission that would push
@@ -110,8 +94,6 @@ class BatchPolicy:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_latency_s < 0:
             raise ValueError("max_latency_s must be >= 0")
-        if not 0.0 <= self.recompute_merge_frac <= 1.0:
-            raise ValueError("recompute_merge_frac must be in [0, 1]")
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None for unbounded)")
 
@@ -125,7 +107,7 @@ class BatchStats:
     inserts: int  # newly-live edges
     deletes: int  # newly-tombstoned edges
     merges: int  # component merges caused
-    mode: str  # "incremental" | "static" | "static-fallback"
+    mode: str  # "incremental" | "static" (re-seeded after a delete)
     duration_ms: float
     components_after: int
     queue_depth_after: int
@@ -145,6 +127,7 @@ class ServiceStats:
     merges: int = 0
     incremental_batches: int = 0
     static_recomputes: int = 0
+    #: Always 0; kept because perfbench reads it, until its next revision.
     static_fallbacks: int = 0
     failed_batches: int = 0
     queries: int = 0
@@ -273,7 +256,8 @@ class ConnectivityService:
     graph:
         Seed :class:`CSRGraph` (its edges populate the store), or
         ``None`` with ``num_vertices=`` for an initially empty graph.
-        The vertex universe is fixed for the service's lifetime.
+        The vertex universe is fixed for the service's lifetime; a
+        ``num_vertices=`` passed with a graph must match its size.
     policy:
         A :class:`BatchPolicy`; defaults are sensible for mixed
         read/write traffic.
@@ -296,19 +280,24 @@ class ConnectivityService:
     ) -> None:
         if graph is None and num_vertices is None:
             raise ValueError("pass a seed graph or num_vertices")
+        if (
+            graph is not None
+            and num_vertices is not None
+            and num_vertices != graph.num_vertices
+        ):
+            raise ValueError(
+                f"num_vertices={num_vertices} does not match the seed "
+                f"graph's {graph.num_vertices} vertices"
+            )
         self.policy = policy or BatchPolicy()
         self._tracer = current_tracer()
         if graph is not None:
             self._store = EdgeStore.from_graph(graph)
-            n = graph.num_vertices
         else:
             self._store = EdgeStore(int(num_vertices))
-            n = int(num_vertices)
         if name:
             self._store.name = name
-        self._inc = IncrementalConnectivity(n)
-        if graph is not None and graph.num_edges:
-            self._inc.add_edges(*graph.edge_array())
+        self._inc = self._seeded()
         self.stats = ServiceStats()
         self._version = 0
         self._snapshot = self._publish()
@@ -351,7 +340,7 @@ class ConnectivityService:
     # -- introspection ---------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return self._inc.parent.size
+        return self._store.num_vertices
 
     @property
     def num_edges(self) -> int:
@@ -597,9 +586,6 @@ class ConnectivityService:
             s.merges += stats.merges
             if stats.mode == "incremental":
                 s.incremental_batches += 1
-            elif stats.mode == "static-fallback":
-                s.static_fallbacks += 1
-                s.static_recomputes += 1
             else:
                 s.static_recomputes += 1
             if tracer.enabled:
@@ -614,7 +600,6 @@ class ConnectivityService:
                 ticket._resolve(stats, None)
 
     def _apply_batch_inner(self, batch: list, span) -> BatchStats:
-        policy = self.policy
         ins_u = [e[1] for e in batch if not e[0]]
         ins_v = [e[2] for e in batch if not e[0]]
         del_u = [e[1] for e in batch if e[0]]
@@ -630,30 +615,18 @@ class ConnectivityService:
             np.concatenate(del_v) if del_v else np.empty(0, dtype=np.int64),
         )
 
-        components_before = self._inc.num_components
-        merges = 0
         if deleted:
             # Deletions cannot be expressed as union-find updates:
-            # recompute from the live edge set.
+            # re-seed from the live edge set.
             mode = "static"
+            components_before = self._inc.num_components
             self._recompute()
             merges = components_before - self._inc.num_components
         else:
+            mode = "incremental"
             merges = self._inc.add_edges(new_u, new_v)
-            if (
-                components_before > 0
-                and merges > policy.recompute_merge_frac * components_before
-            ):
-                # Hong et al. crossover: a batch that restructures this
-                # much of the component set is cheaper re-derived
-                # statically (and the recompute collapses every parent
-                # chain, so subsequent queries are depth-0).
-                mode = "static-fallback"
-                self._recompute()
-            else:
-                mode = "incremental"
 
-        if self._store.tombstone_fraction > policy.compact_tombstone_frac:
+        if self._store.tombstone_fraction > self.policy.compact_tombstone_frac:
             self._store.compact()
             self.stats.compactions += 1
 
@@ -677,132 +650,26 @@ class ConnectivityService:
             queue_depth_after=0,
         )
 
-    #: Backends the ``"auto"`` recompute policy races against each other.
-    _AUTO_CONTENDERS = ("numpy", "contract")
-
-    #: Arc count past which ``"auto"`` also races the sharded backend
-    #: (matches the sharded backend's own inline/process crossover).
-    _AUTO_SHARDED_MIN_ARCS = 200_000
-
-    def _auto_contenders(self, graph: CSRGraph) -> tuple[str, ...]:
-        """Contenders for one auto race: the native pair, plus
-        ``"sharded"`` when the live graph is big enough for process
-        transport to pay off and the machine actually has the cores."""
-        contenders = self._AUTO_CONTENDERS
-        if graph.num_arcs >= self._AUTO_SHARDED_MIN_ARCS and (
-            os.cpu_count() or 1
-        ) >= 2:
-            contenders = contenders + ("sharded",)
-        return contenders
-
     def auto_policy(self) -> dict:
-        """Observable state of the ``"auto"`` recompute policy:
-        the cached winner (``None`` before the first race or after a
-        drift invalidation), the edge count it was raced at, and how
-        many races / re-races have run."""
-        choice = getattr(self, "_auto_choice", None)
-        races = getattr(self, "_auto_races", 0)
-        return {
-            "winner": choice[0] if choice else None,
-            "at_edges": choice[1] if choice else None,
-            "races": races,
-            "reraces": max(0, races - 1),
-        }
+        """State of the retired ``"auto"`` recompute race: always empty.
+        Kept because perfbench reads it, until its next revision."""
+        return {"winner": None, "at_edges": None, "races": 0, "reraces": 0}
+
+    def _seeded(self) -> IncrementalConnectivity:
+        """A fresh union-find over the store's live edges, flat
+        (``parent[parent] == parent``) whatever the edge count."""
+        inc = IncrementalConnectivity(self._store.num_vertices)
+        u, v = self._store.alive_arrays()
+        inc.add_edges(u, v)
+        if u.size < VECTOR_THRESHOLD:  # the scalar path leaves chains
+            flatten_active(inc.parent)
+        return inc
 
     def _recompute(self) -> None:
-        """Full static recompute of the live edge set via the fast
-        native backends, under the resilience supervisor."""
-        with self._tracer.span("service:rebuild", category="service"):
-            graph = self._store.to_graph()
-        with self._tracer.span(
-            "service:recompute", category="service",
-            backend=self.policy.recompute_backend,
-        ):
-            if self.policy.recompute_backend == "auto":
-                labels = self._auto_recompute(graph)
-            else:
-                labels = self._run_static(
-                    graph, self.policy.recompute_backend
-                )
-        self._inc.reset_from_labels(labels)
-
-    def _run_static(self, graph: CSRGraph, backend: str) -> np.ndarray:
-        """One static recompute on ``backend`` (resilient if configured)."""
-        if self.policy.resilient:
-            from ..resilience import resilient_components
-
-            chain = (backend, "numpy", "serial")
-            # Deduplicate while keeping the degradation order.
-            chain = tuple(dict.fromkeys(chain))
-            return resilient_components(graph, backends=chain, full_result=False)
-        from ..core.api import connected_components
-
-        return connected_components(graph, backend=backend, full_result=False)
-
-    def _auto_recompute(self, graph: CSRGraph) -> np.ndarray:
-        """The ``"auto"`` policy: fastest *verified* backend per graph.
-
-        The first recompute races the contenders on the actual live
-        graph and checks their labels agree bit-for-bit (disagreement
-        keeps the frontier answer and caches nothing — a wrong fast
-        backend must never win).  The winner is cached keyed to the edge
-        count at race time and reused until the live edge count drifts
-        by more than 2x in either direction, at which point the graph
-        has changed class enough to re-race.
-        """
-        choice = getattr(self, "_auto_choice", None)
-        edges = self._store.num_edges
-        if choice is not None:
-            backend, at_edges = choice
-            if max(edges, at_edges) <= 2 * max(min(edges, at_edges), 1):
-                self._emit_auto_gauges()
-                return self._run_static(graph, backend)
-            self._auto_choice = None
-        from ..core.api import connected_components
-
-        contenders = self._auto_contenders(graph)
-        self._auto_races = getattr(self, "_auto_races", 0) + 1
-        times: dict[str, float] = {}
-        labels: dict[str, np.ndarray] = {}
-        for backend in contenders:
-            t0 = time.perf_counter()
-            labels[backend] = connected_components(
-                graph, backend=backend, full_result=False
-            )
-            times[backend] = time.perf_counter() - t0
-        reference = contenders[0]
-        agreed = [
-            b for b in contenders if np.array_equal(labels[b], labels[reference])
-        ]
-        if len(agreed) < len(contenders):
-            self._emit_auto_gauges()
-            return labels[reference]
-        winner = min(times, key=times.__getitem__)
-        self._auto_choice = (winner, edges)
-        if self._tracer.enabled:
-            self._tracer.count("service.auto_races")
-            self._tracer.count(f"service.auto_wins.{winner}")
-            self._tracer.gauge(
-                "service.auto_recompute_ms", times[winner] * 1e3
-            )
-        self._emit_auto_gauges()
-        return labels[winner]
-
-    def _emit_auto_gauges(self) -> None:
-        """Surface the auto policy's cached state as observe gauges:
-        which backend currently holds the win (one-hot over the base
-        contenders plus sharded) and how many re-races have happened."""
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        policy = self.auto_policy()
-        winner = policy["winner"]
-        for backend in self._AUTO_CONTENDERS + ("sharded",):
-            tracer.gauge(
-                f"service.auto_winner.{backend}",
-                1.0 if backend == winner else 0.0,
-            )
-        tracer.gauge("service.auto_reraces", policy["reraces"])
+        """Re-seed the union-find from the live edge set; the old forest
+        stays in place if this raises."""
+        with self._tracer.span("service:recompute", category="service"):
+            self._inc = self._seeded()
 
     def _publish(self) -> ComponentSnapshot:
         self._version += 1

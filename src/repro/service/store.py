@@ -5,15 +5,16 @@ every compute backend in this library consumes an immutable
 :class:`~repro.graph.csr.CSRGraph`.  :class:`EdgeStore` bridges the two:
 edges live in parallel endpoint arrays with a per-slot liveness flag,
 insertions append (or revive a tombstoned slot), deletions *tombstone*
-rather than compact (O(1) instead of O(m)), and
-:meth:`EdgeStore.to_graph` materializes the current live edge set as a
-CSR graph for the periodic full recomputes.  A composite-key index
+rather than compact (O(1) instead of O(m)), :meth:`EdgeStore.alive_arrays`
+hands the live endpoint arrays to the service's re-seed after a delete,
+and :meth:`EdgeStore.to_graph` materializes the live edge set as a CSR
+graph for callers that need one.  A composite-key index
 (``min * n + max``) gives exact membership, so duplicate inserts and
 deletes of absent edges are well-defined no-ops.
 
 Tombstones are reclaimed by :meth:`EdgeStore.compact` once their
 fraction passes a threshold (the service calls it after applying a
-batch), keeping rebuild cost proportional to the live edge count.
+batch), keeping re-seed cost proportional to the live edge count.
 """
 
 from __future__ import annotations

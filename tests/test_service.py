@@ -8,6 +8,7 @@ the same canonical minimum-member labeling as every batch backend.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro import BatchPolicy, CCResult, ConnectivityService, connected_components
-from repro.errors import QueueFullError, ResilienceExhaustedError
+import repro.core.api
+import repro.resilience
+from repro.errors import QueueFullError
 from repro.experiments.loadgen import (
     build_ops,
     compare_loadgen,
@@ -24,7 +27,7 @@ from repro.experiments.loadgen import (
 )
 from repro.generators import load, rmat
 from repro.graph.build import from_edges
-from repro.observe import Tracer, use_tracer
+from repro.observe import Tracer, current_tracer, use_tracer
 from repro.service import EdgeStore
 from repro.verify import reference_labels
 
@@ -108,6 +111,12 @@ class TestServiceBasics:
     def test_requires_graph_or_size(self):
         with pytest.raises(ValueError):
             ConnectivityService()
+
+    def test_num_vertices_must_match_graph(self, two_cliques):
+        with pytest.raises(ValueError, match="does not match"):
+            ConnectivityService(two_cliques, num_vertices=10, start=False)
+        svc = ConnectivityService(two_cliques, num_vertices=8, start=False)
+        assert svc.num_vertices == 8
 
     def test_query_bounds_checked(self, two_cliques):
         svc = ConnectivityService(two_cliques, start=False)
@@ -268,139 +277,64 @@ class TestBatchTriggers:
         assert svc.same_component(0, 1)
 
 
+def assert_flat(svc: ConnectivityService) -> None:
+    """The published snapshot's parent array has depth-zero chains."""
+    parent = svc.snapshot()._parent
+    assert np.array_equal(parent[parent], parent)
+
+
 class TestUpdatePolicy:
     def test_small_batch_applies_incrementally(self, two_cliques):
-        svc = ConnectivityService(
-            two_cliques,
-            policy=BatchPolicy(recompute_merge_frac=0.9),
-            start=False,
-        )
+        svc = ConnectivityService(two_cliques, start=False)
         t = svc.add_edge(0, 4)
         svc.flush()
         assert t.result().mode == "incremental"
         assert svc.stats.incremental_batches == 1
         assert svc.stats.static_recomputes == 0
 
-    def test_bulk_merge_falls_back_to_static(self):
-        # 100 singletons; one batch wiring them into a path merges 99%
-        # of the components — far past the crossover.
-        svc = ConnectivityService(
-            num_vertices=100,
-            policy=BatchPolicy(recompute_merge_frac=0.25),
-            start=False,
-        )
-        u = np.arange(99)
-        t = svc.add_edges(u, u + 1)
-        svc.flush()
-        assert t.result().mode == "static-fallback"
-        assert svc.stats.static_fallbacks == 1
-        assert svc.component_count() == 1
-
-    def test_auto_recompute_races_and_caches_winner(self, two_cliques):
-        svc = ConnectivityService(
-            two_cliques,
-            policy=BatchPolicy(recompute_merge_frac=0.0),
-            start=False,
-        )
-        assert svc.policy.recompute_backend == "auto"  # the default
-        svc.add_edge(0, 4)
-        svc.flush()
-        backend, at_edges = svc._auto_choice
-        assert backend in svc._AUTO_CONTENDERS
-        assert at_edges == svc.num_edges
-        # A same-class recompute reuses the cached winner (no re-race).
-        svc.add_edge(1, 5)
-        svc.flush()
-        assert svc._auto_choice[0] == backend
-        assert svc._auto_choice[1] == at_edges  # race edge count unchanged
-        from repro.verify import reference_labels
-
-        assert np.array_equal(
-            svc.labels_snapshot(), reference_labels(svc.current_graph())
-        )
-
-    def test_auto_recompute_reraces_after_2x_drift(self):
-        svc = ConnectivityService(
-            num_vertices=200,
-            policy=BatchPolicy(recompute_merge_frac=1.0),
-            start=False,
-        )
-        # Deletions force static recomputes through the auto policy.
-        svc.add_edge(0, 1)
-        svc.flush()
-        svc.remove_edge(0, 1)
-        svc.flush()
-        first = svc._auto_choice
-        # Grow the edge set far past 2x the race-time count, then force
-        # another static recompute: the winner must be re-raced.
-        u = np.arange(150)
-        svc.add_edges(u, u + 1)
-        svc.flush()
-        svc.remove_edge(0, 1)
-        svc.flush()
-        assert svc._auto_choice[1] != first[1]
-
-    def test_auto_policy_snapshot_and_gauges(self, two_cliques):
-        # The service pins the tracer at construction time, so the whole
-        # lifecycle runs under one capture.
-        tracer = Tracer()
-        with use_tracer(tracer):
-            svc = ConnectivityService(
-                two_cliques,
-                policy=BatchPolicy(recompute_merge_frac=0.0),
-                start=False,
-            )
-            assert svc.auto_policy()["winner"] is None  # no race yet
-            assert svc.auto_policy()["races"] == 0
-            svc.add_edge(0, 4)
-            svc.flush()
-            policy = svc.auto_policy()
-            assert policy["winner"] in svc._auto_contenders(svc.current_graph())
-            assert policy["at_edges"] == svc.num_edges
-            assert policy["races"] == 1 and policy["reraces"] == 0
-            # The race is observable: one counter tick, a one-hot winner
-            # gauge, and the re-race depth.
-            assert tracer.counters.get("service.auto_races") == 1
-            assert (
-                tracer.counters.get(f"service.auto_wins.{policy['winner']}") == 1
-            )
-            gauges = {name: value for _, name, value in tracer.gauges}
-            assert gauges[f"service.auto_winner.{policy['winner']}"] == 1.0
-            assert gauges["service.auto_reraces"] == 0.0
-            winner_gauge = f"service.auto_winner.{policy['winner']}"
-            emitted = sum(1 for _, n, _ in tracer.gauges if n == winner_gauge)
-            # A cached-winner recompute (deletions always go static)
-            # re-emits the gauges without racing again.
-            svc.remove_edge(0, 4)
-            svc.flush()
-            assert tracer.counters["service.auto_races"] == 1
-            assert (
-                sum(1 for _, n, _ in tracer.gauges if n == winner_gauge)
-                == emitted + 1
-            )
-
-    def test_explicit_backend_still_honored(self, two_cliques):
-        svc = ConnectivityService(
-            two_cliques,
-            policy=BatchPolicy(
-                recompute_merge_frac=0.0, recompute_backend="numpy"
-            ),
-            start=False,
-        )
-        svc.add_edge(0, 4)
-        svc.flush()
-        assert not hasattr(svc, "_auto_choice") or svc._auto_choice is None
-
-    def test_merge_frac_one_disables_fallback(self):
-        svc = ConnectivityService(
-            num_vertices=100,
-            policy=BatchPolicy(recompute_merge_frac=1.0),
-            start=False,
-        )
+    def test_bulk_merge_stays_incremental(self):
+        # 100 singletons wired into one path by a single insert batch:
+        # insert batches never recompute, however much they merge.
+        svc = ConnectivityService(num_vertices=100, start=False)
         u = np.arange(99)
         t = svc.add_edges(u, u + 1)
         svc.flush()
         assert t.result().mode == "incremental"
+        assert svc.stats.static_fallbacks == 0
+        assert svc.component_count() == 1
+
+    def test_auto_policy_snapshot_and_gauges(self, two_cliques):
+        # The retired recompute race reports a fixed empty record and
+        # emits no service.auto_* counters or gauges, even on a delete.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            svc = ConnectivityService(two_cliques, start=False)
+            svc.remove_edge(0, 1)
+            svc.flush()
+        assert svc.last_batch().mode == "static"
+        assert svc.auto_policy() == {
+            "winner": None, "at_edges": None, "races": 0, "reraces": 0
+        }
+        names = set(tracer.counters) | {name for _, name, _ in tracer.gauges}
+        assert not [name for name in names if name.startswith("service.auto")]
+
+    def test_delete_batch_runs_no_backend(self, two_cliques, monkeypatch):
+        # A delete re-seeds the union-find from the edge store's live
+        # arrays: no CSR build, no registry backend, no supervisor and
+        # no worker process.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a delete batch left the union-find engine")
+
+        svc = ConnectivityService(two_cliques, start=False)
+        with monkeypatch.context() as m:
+            m.setattr(repro.core.api, "connected_components", forbidden)
+            m.setattr(repro.resilience, "resilient_components", forbidden)
+            m.setattr(EdgeStore, "to_graph", forbidden)
+            ticket = svc.remove_edges([0, 4], [1, 5])
+            svc.flush()
+            assert ticket.result(0).mode == "static"
+        assert np.array_equal(svc.labels_snapshot(), oracle_labels(svc))
+        assert multiprocessing.active_children() == []
 
     def test_deletion_forces_static(self, two_cliques):
         svc = ConnectivityService(two_cliques, start=False)
@@ -418,6 +352,28 @@ class TestUpdatePolicy:
         svc.flush()
         assert not svc.same_component(0, 2)
         assert svc.component_count() == 2
+        assert_flat(svc)
+
+    @pytest.mark.parametrize("live", [0, 31, 32, 33])
+    def test_deletes_leave_live_edges(self, live):
+        # A 40-edge path plus isolated vertices 41..49, cut down to
+        # `live` edges: both sides of VECTOR_THRESHOLD (32), and none.
+        # Stored high end first, so a scalar re-seed builds long chains.
+        n, path = 50, np.arange(40)[::-1]
+        svc = ConnectivityService(num_vertices=n, start=False)
+        svc.add_edges(path, path + 1)
+        svc.flush()
+        gone = np.random.default_rng(live).permutation(40)[: 40 - live]
+        t = svc.remove_edges(path[gone], path[gone] + 1)
+        svc.flush()
+        assert t.result().mode == "static"
+        assert svc.num_edges == live
+        labels = svc.labels_snapshot()
+        assert np.array_equal(labels, oracle_labels(svc))
+        assert svc.component_count() == np.unique(labels).size == n - live
+        assert_flat(svc)
+        if live == 0:
+            assert np.array_equal(labels, np.arange(n))
 
     def test_duplicate_inserts_cause_no_merges(self, two_cliques):
         svc = ConnectivityService(two_cliques, start=False)
@@ -434,6 +390,7 @@ class TestUpdatePolicy:
         assert svc.last_batch().mode == "static"
         assert svc.same_component(0, 4)
         assert np.array_equal(svc.labels_snapshot(), oracle_labels(svc))
+        assert_flat(svc)
 
     def test_compaction_runs_at_threshold(self):
         svc = ConnectivityService(
@@ -452,26 +409,28 @@ class TestUpdatePolicy:
         with pytest.raises(ValueError):
             BatchPolicy(max_batch_size=0)
         with pytest.raises(ValueError):
-            BatchPolicy(recompute_merge_frac=1.5)
+            BatchPolicy(max_latency_s=-1.0)
+        for retired in ("recompute_merge_frac", "recompute_backend", "resilient"):
+            with pytest.raises(TypeError):
+                BatchPolicy(**{retired: 0})
 
     def test_recompute_failure_resolves_ticket_with_error(self, two_cliques):
-        svc = ConnectivityService(
-            two_cliques,
-            policy=BatchPolicy(recompute_merge_frac=0.0, resilient=False),
-            start=False,
-        )
+        svc = ConnectivityService(two_cliques, start=False)
 
-        def boom(*a, **k):
-            raise ResilienceExhaustedError("injected")
+        def boom():
+            raise RuntimeError("injected")
 
-        svc._recompute = boom
-        ticket = svc.add_edge(0, 4)
+        # The re-seed reads the store's live arrays; make that fail.
+        svc._store.alive_arrays = boom
+        before = svc.snapshot()
+        ticket = svc.remove_edge(0, 1)
         svc.flush()
         assert not ticket.applied
-        with pytest.raises(ResilienceExhaustedError):
+        with pytest.raises(RuntimeError, match="injected"):
             ticket.result(0)
         assert svc.stats.failed_batches == 1
         # The service keeps serving the last committed snapshot.
+        assert svc.snapshot() is before
         assert svc.component_count() == 2
 
 
@@ -485,9 +444,7 @@ class TestDifferentialAgainstOracle:
         g = rmat(7, 2.0, seed=seed, name=f"svc-diff-{seed}")
         svc = ConnectivityService(
             g,
-            policy=BatchPolicy(
-                max_batch_size=16, recompute_merge_frac=0.3
-            ),
+            policy=BatchPolicy(max_batch_size=16),
             start=False,
         )
         n = g.num_vertices
@@ -507,6 +464,15 @@ class TestDifferentialAgainstOracle:
             assert svc.component_count() == np.unique(
                 svc.labels_snapshot()
             ).size
+            if svc.last_batch().mode == "static":
+                assert_flat(svc)
+        # Deleting every live edge leaves n singletons.
+        eu, ev = svc.current_graph().edge_array()
+        svc.remove_edges(eu, ev)
+        svc.flush()
+        assert np.array_equal(svc.labels_snapshot(), np.arange(n))
+        assert svc.component_count() == n
+        assert_flat(svc)
 
     def test_grows_to_connected_and_agrees(self):
         g = load("2d-2e20.sym", "tiny")
@@ -551,45 +517,40 @@ class TestObservability:
         assert "service:batch" in [s.name for s in tracer.spans]
 
     def test_flusher_recompute_reaches_backend_spans(self, two_cliques):
-        # The recompute backends read the ambient tracer themselves, so
-        # the flusher thread must install the captured one around each
-        # batch or their spans silently go to the disabled tracer.
+        # Code under a recompute reads the ambient tracer itself, so the
+        # flusher thread must install the captured one around each
+        # batch or those spans silently go to the disabled tracer.
         tracer = Tracer()
         with use_tracer(tracer):
             svc = ConnectivityService(two_cliques, start=True)
+        recompute = svc._recompute
+
+        def probe():
+            with current_tracer().span("test:probe", category="test"):
+                recompute()
+
+        svc._recompute = probe
         try:
             svc.remove_edge(0, 1)
             svc.flush(timeout=10.0)
         finally:
             svc.close()
         spans = tracer.spans
-
-        def under_recompute(span):
-            while span.parent >= 0:
-                span = spans[span.parent]
-                if span.name == "service:recompute":
-                    return True
-            return False
-
-        backend_spans = [
-            s for s in spans
-            if s.name in ("numpy:hook-rounds", "contract:levels")
-        ]
-        assert any(under_recompute(s) for s in backend_spans)
+        (probed,) = [s for s in spans if s.name == "test:probe"]
+        assert spans[probed.parent].name == "service:batch"
 
     def test_delete_batch_records_one_rebuild_span(self, two_cliques):
-        # The CSR rebuild before a recompute is its own span, a sibling
-        # of service:recompute inside the batch.
+        # The forest rebuild after a delete is one service:recompute
+        # span directly inside the batch; no CSR rebuild span remains.
         tracer = Tracer()
         with use_tracer(tracer):
             svc = ConnectivityService(two_cliques, start=False)
             svc.remove_edge(0, 1)
             svc.flush()
         spans = tracer.spans
-        (rebuild,) = [s for s in spans if s.name == "service:rebuild"]
         (recompute,) = [s for s in spans if s.name == "service:recompute"]
-        assert rebuild.parent == recompute.parent
-        assert spans[rebuild.parent].name == "service:batch"
+        assert spans[recompute.parent].name == "service:batch"
+        assert not [s for s in spans if s.name == "service:rebuild"]
 
 
 class TestLoadgen:
