@@ -14,8 +14,9 @@ under an explicit ``memory_budget``:
    (:func:`repro.shard.worker.solve_csr_slice`), write the shard's label
    slice into the single resident parent array, and append its
    cross-shard boundary arcs to a per-shard disk file.  After each shard
-   the parent array is checkpointed atomically and ``RESUME.json``
-   updated, so a crash mid-stream loses at most one shard of work.
+   its label slice is written in place into the parent checkpoint and
+   ``RESUME.json`` atomically replaced with the slice's checksum, so a
+   crash mid-stream loses at most one shard of work.
 3. **merge** — the boundary arcs are re-read from disk in bounded-size
    chunks, and each chunk is hooked into the parent array by
    :func:`repro.core.frontier.hook_until_fixpoint`, the loop the
@@ -34,7 +35,8 @@ reported as ``peak_resident_bytes`` (and the
 **Crash recovery.**  A run killed mid-stream or mid-merge leaves the
 spill directory + ``RESUME.json`` + the parent checkpoint behind;
 re-running with ``resume=True`` (or letting ``auto_resume`` retry
-in-process) validates their checksums and continues from the last
+in-process) validates their checksums — each completed shard's slice
+mid-stream, the whole array mid-merge — and continues from the last
 completed shard or merge pass.  Resuming is safe for the same reason the
 merge converges: re-solving a shard overwrites its label slice with the
 identical values, and re-running merge passes from any checkpointed
@@ -49,6 +51,7 @@ otherwise the run fails loudly with
 from __future__ import annotations
 
 import atexit
+import functools
 import hashlib
 import json
 import os
@@ -92,7 +95,7 @@ __all__ = [
 
 RESUME_NAME = "RESUME.json"
 PARENT_CKPT_NAME = "parent.ckpt.bin"
-RESUME_SCHEMA = "repro.outofcore/resume/v1"
+RESUME_SCHEMA = "repro.outofcore/resume/v2"
 
 #: Merge chunk size (in pairs) when no memory budget constrains it.
 _DEFAULT_CHUNK_PAIRS = 1 << 20
@@ -206,23 +209,39 @@ class OocoreRunStats:
 # ----------------------------------------------------------------------
 # Resume-state file
 # ----------------------------------------------------------------------
+def _create_checkpoint(directory: Path, num_vertices: int) -> None:
+    """Start a fresh stream: drop any earlier resume state and create the
+    ``num_vertices`` × 8-byte parent checkpoint the shards' label slices
+    are written into.  Its bytes mean nothing until ``RESUME.json``
+    records a slice over them."""
+    (directory / RESUME_NAME).unlink(missing_ok=True)
+    with open(directory / PARENT_CKPT_NAME, "wb") as f:
+        f.truncate(num_vertices * 8)
+
+
 def _write_checkpoint(
     directory: Path,
     labels: np.ndarray,
     *,
+    tracer,
     phase: str,
     completed: set[int],
     boundary: dict[int, dict],
+    slices: dict[int, dict],
     merge_passes: int,
     num_vertices: int,
     num_arcs: int,
+    shard: tuple[int, int, int] | None = None,
 ) -> None:
-    """Atomically persist the parent array + resume metadata."""
-    arr = np.ascontiguousarray(labels, dtype=np.int64)
-    ckpt_tmp = directory / (PARENT_CKPT_NAME + ".tmp")
-    with open(ckpt_tmp, "wb") as f:
-        f.write(memoryview(arr).cast("B"))
-    os.replace(ckpt_tmp, directory / PARENT_CKPT_NAME)
+    """Persist the parent array, then atomically replace ``RESUME.json``.
+
+    Mid-stream (``shard=(i, s, e)``) only ``labels[s:e]`` is written, in
+    place at byte ``8·s`` of the checkpoint :func:`_create_checkpoint`
+    made, and its checksum recorded as ``slices[i]``.  A merge pass
+    (``shard=None``) writes the whole array to a temp file renamed over
+    the checkpoint, with one checksum.
+    """
+    ckpt = directory / PARENT_CKPT_NAME
     state = {
         "schema": RESUME_SCHEMA,
         "num_vertices": int(num_vertices),
@@ -232,11 +251,34 @@ def _write_checkpoint(
         "boundary": {str(i): b for i, b in sorted(boundary.items())},
         "merge_passes": int(merge_passes),
         "parent_file": PARENT_CKPT_NAME,
-        "parent_sha256": hashlib.sha256(memoryview(arr)).hexdigest(),
     }
-    res_tmp = directory / (RESUME_NAME + ".tmp")
-    res_tmp.write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
-    os.replace(res_tmp, directory / RESUME_NAME)
+    with tracer.span("oocore:checkpoint", category="oocore", phase=phase) as sp:
+        if shard is not None:
+            i, s, e = shard
+            payload = memoryview(labels[s:e]).cast("B")
+            with open(ckpt, "r+b") as f:
+                f.seek(8 * s)
+                f.write(payload)
+            slices[i] = {
+                "start": s,
+                "end": e,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+            }
+            state["slices"] = {str(k): v for k, v in sorted(slices.items())}
+        else:
+            payload = memoryview(labels).cast("B")
+            ckpt_tmp = directory / (PARENT_CKPT_NAME + ".tmp")
+            with open(ckpt_tmp, "wb") as f:
+                f.write(payload)
+            os.replace(ckpt_tmp, ckpt)
+            state["parent_sha256"] = hashlib.sha256(payload).hexdigest()
+        res_tmp = directory / (RESUME_NAME + ".tmp")
+        res_tmp.write_text(
+            json.dumps(state, separators=(",", ":")), encoding="utf-8"
+        )
+        os.replace(res_tmp, directory / RESUME_NAME)
+        sp.update(bytes=payload.nbytes)
+    tracer.count("oocore.checkpoint_bytes", payload.nbytes)
 
 
 def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
@@ -245,7 +287,9 @@ def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
     Returns ``None`` when there is nothing to resume from (no state
     file); raises :class:`~repro.errors.SpillChecksumError` when state
     exists but its checkpoint or boundary files fail their checksums —
-    resuming from damaged state would risk silently wrong labels.
+    resuming from damaged state would risk silently wrong labels.  A
+    stream-phase state restores only its completed shards' slices onto
+    ``arange(n)``; the bytes of every other shard are never read.
     """
     path = directory / RESUME_NAME
     if not path.is_file():
@@ -259,8 +303,9 @@ def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
             f"resume state {path} has schema {state.get('schema')!r} "
             f"(expected {RESUME_SCHEMA})"
         )
+    n = spilled.num_vertices
     if (
-        int(state.get("num_vertices", -1)) != spilled.num_vertices
+        int(state.get("num_vertices", -1)) != n
         or int(state.get("num_arcs", -1)) != spilled.num_arcs
     ):
         raise SpillFormatError(
@@ -271,20 +316,54 @@ def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
     ckpt = directory / str(state.get("parent_file", PARENT_CKPT_NAME))
     if not ckpt.is_file():
         raise SpillFormatError(f"resume state names missing checkpoint {ckpt}")
-    data = ckpt.read_bytes()
-    if len(data) != spilled.num_vertices * 8:
+    size = ckpt.stat().st_size
+    if size != n * 8:
         raise SpillChecksumError(
-            f"parent checkpoint {ckpt} holds {len(data)} bytes for a "
-            f"{spilled.num_vertices}-vertex graph"
+            f"parent checkpoint {ckpt} holds {size} bytes for a "
+            f"{n}-vertex graph"
         )
-    got = hashlib.sha256(data).hexdigest()
-    if got != state.get("parent_sha256"):
-        raise SpillChecksumError(
-            f"parent checkpoint {ckpt} fails its checksum (recorded "
-            f"{str(state.get('parent_sha256'))[:12]}…, file {got[:12]}…) — "
-            f"refusing to resume from corrupt state"
-        )
-    labels = np.frombuffer(data, dtype=np.int64).copy()
+    phase = str(state.get("phase", "stream"))
+    completed = set(int(i) for i in state.get("completed", []))
+    slices: dict[int, dict] = {}
+    if phase == "stream":
+        labels = np.arange(n, dtype=np.int64)
+        ranges = spilled.plan().ranges()
+        recorded = dict(state.get("slices", {}))
+        with open(ckpt, "rb") as f:
+            for i in sorted(completed):
+                entry = recorded.get(str(i))
+                if (
+                    entry is None
+                    or not 0 <= i < len(ranges)
+                    or (int(entry["start"]), int(entry["end"])) != ranges[i]
+                ):
+                    raise SpillFormatError(
+                        f"resume state {path} records no slice of shard {i} "
+                        f"matching the spill's range"
+                    )
+                s, e = ranges[i]
+                view = memoryview(labels[s:e]).cast("B")
+                f.seek(8 * s)
+                f.readinto(view)
+                got = hashlib.sha256(view).hexdigest()
+                if got != entry.get("sha256"):
+                    raise SpillChecksumError(
+                        f"parent checkpoint {ckpt} slice [{s}:{e}] of shard "
+                        f"{i} fails its checksum (recorded "
+                        f"{str(entry.get('sha256'))[:12]}…, file {got[:12]}…) "
+                        f"— refusing to resume from corrupt state"
+                    )
+                slices[i] = {"start": s, "end": e, "sha256": got}
+    else:
+        data = ckpt.read_bytes()
+        got = hashlib.sha256(data).hexdigest()
+        if got != state.get("parent_sha256"):
+            raise SpillChecksumError(
+                f"parent checkpoint {ckpt} fails its checksum (recorded "
+                f"{str(state.get('parent_sha256'))[:12]}…, file {got[:12]}…) — "
+                f"refusing to resume from corrupt state"
+            )
+        labels = np.frombuffer(data, dtype=np.int64).copy()
     boundary: dict[int, dict] = {}
     for key, entry in dict(state.get("boundary", {})).items():
         bpath = directory / str(entry["file"])
@@ -306,9 +385,10 @@ def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
             "sha256": str(entry["sha256"]),
         }
     return {
-        "phase": str(state.get("phase", "stream")),
-        "completed": set(int(i) for i in state.get("completed", [])),
+        "phase": phase,
+        "completed": completed,
         "boundary": boundary,
+        "slices": slices,
         "merge_passes": int(state.get("merge_passes", 0)),
         "labels": labels,
     }
@@ -602,6 +682,7 @@ def _oocore_run(
 
     completed: set[int] = set()
     boundary: dict[int, dict] = {}
+    slices: dict[int, dict] = {}
     merge_pass_start = 0
     labels = None
     if resume:
@@ -609,13 +690,25 @@ def _oocore_run(
         if state is not None:
             completed = state["completed"]
             boundary = state["boundary"]
+            slices = state["slices"]
             merge_pass_start = state["merge_passes"]
             labels = state["labels"]
             stats.resumed = True
             stats.skipped_shards = len(completed)
     if labels is None:
         labels = np.arange(n, dtype=np.int64)
-        completed, boundary, merge_pass_start = set(), {}, 0
+        _create_checkpoint(directory, n)
+    checkpoint = functools.partial(
+        _write_checkpoint,
+        directory,
+        labels,
+        tracer=tracer,
+        completed=completed,
+        boundary=boundary,
+        slices=slices,
+        num_vertices=n,
+        num_arcs=spilled.num_arcs,
+    )
 
     for i, (s, e) in enumerate(spilled.plan().ranges()):
         if i in completed:
@@ -664,16 +757,7 @@ def _oocore_run(
             sp.update(boundary=int(bu.size), charged=charge)
         stats.shard_ms.append((time.perf_counter() - t0) * 1e3)
         completed.add(i)
-        _write_checkpoint(
-            directory,
-            labels,
-            phase="stream",
-            completed=completed,
-            boundary=boundary,
-            merge_passes=0,
-            num_vertices=n,
-            num_arcs=spilled.num_arcs,
-        )
+        checkpoint(phase="stream", merge_passes=0, shard=(i, int(s), int(e)))
     tracer.count("oocore.shards", stats.num_shards - stats.skipped_shards)
 
     # ================== phase 3: merge ==================
@@ -732,16 +816,7 @@ def _oocore_run(
         stats.merge_hooks += hooks
         pass_idx += 1
         stats.merge_passes = pass_idx - merge_pass_start
-        _write_checkpoint(
-            directory,
-            labels,
-            phase="merge",
-            completed=completed,
-            boundary=boundary,
-            merge_passes=pass_idx,
-            num_vertices=n,
-            num_arcs=spilled.num_arcs,
-        )
+        checkpoint(phase="merge", merge_passes=pass_idx)
         if hooks == 0:
             break
     tracer.count("oocore.merge_passes", stats.merge_passes)

@@ -610,21 +610,35 @@ class ConnectivityService:
             np.concatenate(ins_u) if ins_u else np.empty(0, dtype=np.int64),
             np.concatenate(ins_v) if ins_v else np.empty(0, dtype=np.int64),
         )
-        deleted = self._store.delete(
+        gone_u, gone_v = self._store.remove(
             np.concatenate(del_u) if del_u else np.empty(0, dtype=np.int64),
             np.concatenate(del_v) if del_v else np.empty(0, dtype=np.int64),
         )
+        deleted = int(gone_u.size)
 
-        if deleted:
-            # Deletions cannot be expressed as union-find updates:
-            # re-seed from the live edge set.
-            mode = "static"
-            components_before = self._inc.num_components
-            self._recompute()
-            merges = components_before - self._inc.num_components
-        else:
-            mode = "incremental"
-            merges = self._inc.add_edges(new_u, new_v)
+        try:
+            if deleted:
+                # Deletions cannot be expressed as union-find updates:
+                # re-seed from the live edge set.  A split lowers the
+                # component count; it is not a negative merge.
+                mode = "static"
+                components_before = self._inc.num_components
+                self._recompute()
+                merges = max(0, components_before - self._inc.num_components)
+            else:
+                mode = "incremental"
+                merges = self._inc.add_edges(new_u, new_v)
+        except BaseException:
+            # A failed batch changes nothing: put the store back in step
+            # with the forest (revive what it tombstoned, then tombstone
+            # what it made alive).  A re-seed failure leaves the old
+            # forest in place; a failed incremental hook may have linked
+            # some of the new edges, so re-seed from the restored store.
+            self._store.insert(gone_u, gone_v)
+            self._store.delete(new_u, new_v)
+            if not deleted:
+                self._recompute()
+            raise
 
         if self._store.tombstone_fraction > self.policy.compact_tombstone_frac:
             self._store.compact()

@@ -142,18 +142,25 @@ class EdgeStore:
     def delete(self, u, v) -> int:
         """Tombstone edges; returns how many were live before (deletes
         of absent or already-tombstoned edges are no-ops)."""
+        return int(self.remove(u, v)[0].size)
+
+    def remove(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """Tombstone edges; returns the ``(u, v)`` subset that was live
+        before — the mirror of :meth:`insert`, so re-inserting it undoes
+        the removal."""
         u, v = self._canonical(u, v)
         if u.size == 0:
-            return 0
+            return u, v
         n = np.int64(self.num_vertices)
-        removed = 0
-        for k in (u * n + v).tolist():
+        keys = (u * n + v).tolist()
+        gone: list[int] = []
+        for j, k in enumerate(keys):
             slot = self._index.get(k)
             if slot is not None and self._alive[slot]:
                 self._alive[slot] = False
                 self._alive_count -= 1
-                removed += 1
-        return removed
+                gone.append(j)
+        return u[gone], v[gone]
 
     def contains(self, u: int, v: int) -> bool:
         """Whether the live edge set contains ``{u, v}``."""

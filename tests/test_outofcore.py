@@ -246,6 +246,24 @@ def test_oocore_spans_and_gauge():
     assert t.counters["oocore.shards"] == 3
 
 
+def test_oocore_checkpoint_spans_and_bytes():
+    """One checkpoint span per shard and per merge pass; the stream
+    writes each label slice once, so the bytes stay within one parent
+    array for the stream plus one per merge pass."""
+    g = _graph(200, 500, seed=7)
+    n = g.num_vertices
+    with Tracer() as t:
+        _, stats, _ = oocore_cc(g, shards=6)
+    spans = t.find_spans(name="oocore:checkpoint")
+    assert [s.attrs["phase"] for s in spans] == (
+        ["stream"] * 6 + ["merge"] * stats.merge_passes
+    )
+    assert sum(s.attrs["bytes"] for s in spans if s.attrs["phase"] == "stream") == 8 * n
+    total = t.counters["oocore.checkpoint_bytes"]
+    assert total == sum(s.attrs["bytes"] for s in spans)
+    assert total <= 8 * n + 8 * n * stats.merge_passes
+
+
 def test_stats_to_dict_round():
     g = _graph()
     _, stats, _ = oocore_cc(g, shards=2, memory_budget=min_feasible_budget(g) * 4)

@@ -6,6 +6,8 @@ checksum/format error — a damaged spill can never produce silently
 wrong labels.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.api import connected_components
 from repro.errors import (
     MergeCrashError,
     SpillChecksumError,
+    SpillFormatError,
     SpillTruncatedError,
     WorkerCrashError,
 )
@@ -177,6 +180,56 @@ def test_corrupt_parent_checkpoint_rejected(tmp_path):
     data[8] ^= 0xFF
     ckpt.write_bytes(bytes(data))
     with pytest.raises(SpillChecksumError, match="refusing to resume"):
+        oocore_cc(g, shards=4, spill_dir=d, resume=True)
+
+
+def _crash_mid_stream(tmp_path, g, at=3, shards=6):
+    """Crash before shard ``at``; returns the spill dir and its ranges."""
+    d = tmp_path / "spill"
+    with pytest.raises(WorkerCrashError):
+        oocore_cc(
+            g, shards=shards, spill_dir=d, fault_plan=_spec("worker_crash", at=at)
+        )
+    return d, SpilledGraph.open(d).plan().ranges()
+
+
+def test_corrupt_completed_slice_rejected(tmp_path):
+    g = _graph(200, 500, seed=11)
+    d, ranges = _crash_mid_stream(tmp_path, g)
+    s, e = ranges[1]
+    assert e > s
+    ckpt = d / PARENT_CKPT_NAME
+    data = bytearray(ckpt.read_bytes())
+    data[8 * s + 3] ^= 0xFF
+    ckpt.write_bytes(bytes(data))
+    with pytest.raises(SpillChecksumError, match="refusing to resume"):
+        oocore_cc(g, shards=6, spill_dir=d, resume=True)
+
+
+def test_garbage_in_uncompleted_slice_ignored(tmp_path):
+    """Only completed shards' slices are read back on resume, so bytes
+    under a never-completed shard cannot reach the labels."""
+    g = _graph(200, 500, seed=11)
+    d, ranges = _crash_mid_stream(tmp_path, g)
+    s, e = ranges[4]
+    assert e > s
+    ckpt = d / PARENT_CKPT_NAME
+    data = bytearray(ckpt.read_bytes())
+    data[8 * s : 8 * e] = np.random.default_rng(0).bytes(8 * (e - s))
+    ckpt.write_bytes(bytes(data))
+    labels, stats, _ = oocore_cc(g, shards=6, spill_dir=d, resume=True)
+    assert np.array_equal(labels, _serial(g))
+    assert stats.skipped_shards == 3
+
+
+def test_v1_resume_state_rejected(tmp_path):
+    g = _graph()
+    d, _ = _crash_mid_stream(tmp_path, g, at=2, shards=4)
+    path = d / RESUME_NAME
+    state = json.loads(path.read_text())
+    state["schema"] = "repro.outofcore/resume/v1"
+    path.write_text(json.dumps(state))
+    with pytest.raises(SpillFormatError, match="schema"):
         oocore_cc(g, shards=4, spill_dir=d, resume=True)
 
 

@@ -64,6 +64,14 @@ class TestEdgeStore:
         nu, _ = store.insert([0], [1])  # revive the tombstone
         assert nu.size == 1 and store.contains(0, 1)
 
+    def test_remove_reports_previously_live(self):
+        store = EdgeStore(5)
+        store.insert([0, 1], [1, 2])
+        ru, rv = store.remove([1, 3, 0], [0, 4, 1])  # absent + repeat
+        assert ru.tolist() == [0] and rv.tolist() == [1]
+        store.insert(ru, rv)  # re-inserting undoes the removal
+        assert store.contains(0, 1) and store.num_edges == 2
+
     def test_delete_absent_is_noop(self):
         store = EdgeStore(5)
         assert store.delete([3], [4]) == 0
@@ -431,6 +439,62 @@ class TestUpdatePolicy:
         assert svc.stats.failed_batches == 1
         # The service keeps serving the last committed snapshot.
         assert svc.snapshot() is before
+        assert svc.component_count() == 2
+
+
+    def test_failed_recompute_leaves_store_unchanged(self):
+        # 0-1-2 and 3-4, vertex 5 alone.  The delete batch's re-seed
+        # fails, so its tombstone must be revived: the next insert-only
+        # batch then hooks into a forest that matches the store.
+        g = from_edges([(0, 1), (1, 2), (3, 4)], num_vertices=6)
+        svc = ConnectivityService(g, start=False)
+        alive_arrays = svc._store.alive_arrays
+
+        def boom():
+            raise RuntimeError("injected")
+
+        svc._store.alive_arrays = boom
+        ticket = svc.remove_edge(1, 2)
+        svc.flush()
+        with pytest.raises(RuntimeError, match="injected"):
+            ticket.result(0)
+        svc._store.alive_arrays = alive_arrays
+        assert svc._store.contains(1, 2) and svc._store.num_edges == 3
+        svc.add_edge(4, 5)
+        svc.flush()
+        assert svc.labels_snapshot().tolist() == [0, 0, 0, 3, 3, 3]
+        assert np.array_equal(svc.labels_snapshot(), oracle_labels(svc))
+
+    def test_failed_incremental_batch_leaves_store_unchanged(self, monkeypatch):
+        g = from_edges([(0, 1), (3, 4)], num_vertices=6)
+        svc = ConnectivityService(g, start=False)
+
+        def boom(u, v):
+            raise RuntimeError("injected")
+
+        with monkeypatch.context() as m:
+            m.setattr(svc._inc, "add_edges", boom)
+            ticket = svc.add_edges([1, 4], [2, 5])
+            svc.flush()
+        with pytest.raises(RuntimeError, match="injected"):
+            ticket.result(0)
+        assert not svc._store.contains(1, 2) and not svc._store.contains(4, 5)
+        svc.add_edge(2, 3)
+        svc.flush()
+        assert svc.labels_snapshot().tolist() == [0, 0, 2, 2, 2, 5]
+        assert np.array_equal(svc.labels_snapshot(), oracle_labels(svc))
+
+    def test_split_counts_no_merges(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            svc = ConnectivityService(
+                from_edges([(0, 1), (1, 2)], num_vertices=3), start=False
+            )
+            svc.remove_edge(1, 2)
+            svc.flush()
+        assert svc.last_batch().merges == 0
+        assert svc.stats.merges == 0
+        assert tracer.counters.get("service.merges") == 0
         assert svc.component_count() == 2
 
 
