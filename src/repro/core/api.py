@@ -27,6 +27,16 @@ a :class:`BackendSpec` (runner + option schema).  The built-in entries:
     the CSR arrays zero-copy from shared memory; the only backend that
     uses more than one OS process.  Small graphs run the identical
     dataflow inline (process transport would dominate).
+``"oocore"``
+    Out-of-core streaming: the CSR is spilled to checksummed on-disk
+    shards, solved one shard at a time under an enforced
+    ``memory_budget``, and the cross-shard arcs are merged from disk in
+    one chunked pass (:mod:`repro.outofcore`).
+``"distributed"``
+    K simulated hosts (threads) each solve one vertex-range shard and
+    converge through rounds of boundary-label exchange over a lossy
+    simulated network; retransmission, heartbeats and checkpointed
+    shard reassignment recover from injected faults (:mod:`repro.dist`).
 
 Third-party backends join the same dispatch with
 :func:`register_backend`; their options are validated against the
@@ -205,7 +215,7 @@ def connected_components(
     backend:
         A name registered in :data:`BACKENDS` (built-ins: ``"serial"``,
         ``"numpy"``, ``"gpu"``, ``"omp"``, ``"fastsv"``, ``"afforest"``,
-        ``"sharded"``, ``"oocore"``).
+        ``"contract"``, ``"sharded"``, ``"oocore"``, ``"distributed"``).
     full_result:
         The :class:`CCResult` (labels, stats, timings, trace, ...) is the
         default return.  Pass ``full_result=False`` to get just the label

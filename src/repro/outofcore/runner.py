@@ -17,14 +17,15 @@ under an explicit ``memory_budget``:
    its label slice is written in place into the parent checkpoint and
    ``RESUME.json`` atomically replaced with the slice's checksum, so a
    crash mid-stream loses at most one shard of work.
-3. **merge** — the boundary arcs are re-read from disk in bounded-size
-   chunks, and each chunk is hooked into the parent array by
+3. **merge** — one pass over the boundary files, re-read from disk in
+   bounded-size chunks; each chunk is hooked into the parent array by
    :func:`repro.core.frontier.hook_until_fixpoint`, the loop the
-   in-memory shard runner uses.  Passes repeat until a full pass makes
-   zero hooks; hooking only ever replaces a root's parent with a smaller
-   same-component member, so the chunked loop converges to exactly the
-   labels :func:`repro.shard.runner.merge_boundary` would produce in
-   memory — which are bit-identical to the serial oracle's.
+   in-memory shard runner uses.  A hook only ever re-parents a root
+   under a smaller root of the same component, so trees merge and never
+   split: a chunk hooked to its fixpoint stays inside single trees
+   through every later chunk, and after the one pass the labels are
+   exactly those :func:`repro.shard.runner.merge_boundary` would produce
+   in memory — which are bit-identical to the serial oracle's.
 
 Every resident allocation is charged against a
 :class:`~repro.outofcore.budget.ResidentMeter`; the high-water mark is
@@ -32,26 +33,25 @@ reported as ``peak_resident_bytes`` (and the
 ``oocore.peak_resident_bytes`` gauge) and enforced against
 ``memory_budget`` *before* allocations are made.
 
-**Crash recovery.**  A run killed mid-stream or mid-merge leaves the
+**Crash recovery.**  A run killed mid-stream or in the merge leaves the
 spill directory + ``RESUME.json`` + the parent checkpoint behind;
 re-running with ``resume=True`` (or letting ``auto_resume`` retry
-in-process) validates their checksums — each completed shard's slice
-mid-stream, the whole array mid-merge — and continues from the last
-completed shard or merge pass.  Resuming is safe for the same reason the
-merge converges: re-solving a shard overwrites its label slice with the
-identical values, and re-running merge passes from any checkpointed
-intermediate parent array reaches the same fixpoint.  A damaged shard
-file is detected by checksum before its bytes reach the solver; when the
-in-memory source graph is still available the shard is deterministically
-re-spilled (the rewritten bytes match the original manifest checksums),
-otherwise the run fails loudly with
+in-process) validates each completed shard's label slice and boundary
+file against its checksum and continues from the last completed shard.
+The merge writes no checkpoint: a crash there resumes from the end of
+the stream and runs the one merge pass again, solving no shard twice.
+Resuming is safe because re-solving a shard overwrites its label slice
+with the identical values.  A damaged shard file is detected by
+checksum before its bytes reach the solver; when the in-memory source
+graph is still available the shard is deterministically re-spilled
+(the rewritten bytes match the original manifest checksums), otherwise
+the run fails loudly with
 :class:`~repro.errors.SpillChecksumError` — never silently wrong labels.
 """
 
 from __future__ import annotations
 
 import atexit
-import functools
 import hashlib
 import json
 import os
@@ -95,7 +95,7 @@ __all__ = [
 
 RESUME_NAME = "RESUME.json"
 PARENT_CKPT_NAME = "parent.ckpt.bin"
-RESUME_SCHEMA = "repro.outofcore/resume/v2"
+RESUME_SCHEMA = "repro.outofcore/resume/v3"
 
 #: Merge chunk size (in pairs) when no memory budget constrains it.
 _DEFAULT_CHUNK_PAIRS = 1 << 20
@@ -145,13 +145,17 @@ def _cleanup_spill_dirs() -> None:  # pragma: no cover - interpreter exit
         _release_spill_dir(Path(d), delete=True)
 
 
+def _boundary_path(directory: Path, index: int) -> Path:
+    return directory / f"boundary_{index:04d}.bin"
+
+
 def _remove_run_files(directory: Path, num_shards: int) -> None:
     """Drop the run droppings (boundary files, checkpoint, resume state)
     while keeping the spill itself (shard files + manifest)."""
     (directory / RESUME_NAME).unlink(missing_ok=True)
     (directory / PARENT_CKPT_NAME).unlink(missing_ok=True)
     for i in range(num_shards):
-        (directory / f"boundary_{i:04d}.bin").unlink(missing_ok=True)
+        _boundary_path(directory, i).unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +171,7 @@ class OocoreRunStats:
     csr_bytes: int = 0  # in-memory CSR footprint the run avoided
     spilled_bytes: int = 0  # shard payload on disk
     boundary_pairs: int = 0
-    merge_passes: int = 0
+    merge_passes: int = 0  # 1, or 0 when there are no boundary pairs
     merge_hooks: int = 0
     resumed: bool = False
     skipped_shards: int = 0  # completed before this (resumed) run
@@ -222,56 +226,35 @@ def _create_checkpoint(directory: Path, num_vertices: int) -> None:
 def _write_checkpoint(
     directory: Path,
     labels: np.ndarray,
+    shard: tuple[int, int, int],
     *,
     tracer,
-    phase: str,
-    completed: set[int],
-    boundary: dict[int, dict],
+    spilled: SpilledGraph,
     slices: dict[int, dict],
-    merge_passes: int,
-    num_vertices: int,
-    num_arcs: int,
-    shard: tuple[int, int, int] | None = None,
+    boundary: dict[int, dict],
 ) -> None:
-    """Persist the parent array, then atomically replace ``RESUME.json``.
-
-    Mid-stream (``shard=(i, s, e)``) only ``labels[s:e]`` is written, in
-    place at byte ``8·s`` of the checkpoint :func:`_create_checkpoint`
-    made, and its checksum recorded as ``slices[i]``.  A merge pass
-    (``shard=None``) writes the whole array to a temp file renamed over
-    the checkpoint, with one checksum.
-    """
-    ckpt = directory / PARENT_CKPT_NAME
-    state = {
-        "schema": RESUME_SCHEMA,
-        "num_vertices": int(num_vertices),
-        "num_arcs": int(num_arcs),
-        "phase": phase,
-        "completed": sorted(int(i) for i in completed),
-        "boundary": {str(i): b for i, b in sorted(boundary.items())},
-        "merge_passes": int(merge_passes),
-        "parent_file": PARENT_CKPT_NAME,
-    }
-    with tracer.span("oocore:checkpoint", category="oocore", phase=phase) as sp:
-        if shard is not None:
-            i, s, e = shard
-            payload = memoryview(labels[s:e]).cast("B")
-            with open(ckpt, "r+b") as f:
-                f.seek(8 * s)
-                f.write(payload)
-            slices[i] = {
-                "start": s,
-                "end": e,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-            }
-            state["slices"] = {str(k): v for k, v in sorted(slices.items())}
-        else:
-            payload = memoryview(labels).cast("B")
-            ckpt_tmp = directory / (PARENT_CKPT_NAME + ".tmp")
-            with open(ckpt_tmp, "wb") as f:
-                f.write(payload)
-            os.replace(ckpt_tmp, ckpt)
-            state["parent_sha256"] = hashlib.sha256(payload).hexdigest()
+    """Record shard ``i`` of ``shard=(i, s, e)`` as completed: write
+    ``labels[s:e]`` in place at byte ``8·s`` of the checkpoint
+    :func:`_create_checkpoint` made, record its checksum as
+    ``slices[i]``, then atomically replace ``RESUME.json``."""
+    i, s, e = shard
+    payload = memoryview(labels[s:e]).cast("B")
+    with tracer.span("oocore:checkpoint", category="oocore", shard=i) as sp:
+        with open(directory / PARENT_CKPT_NAME, "r+b") as f:
+            f.seek(8 * s)
+            f.write(payload)
+        slices[i] = {
+            "start": s,
+            "end": e,
+            "sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        state = {
+            "schema": RESUME_SCHEMA,
+            "num_vertices": int(spilled.num_vertices),
+            "num_arcs": int(spilled.num_arcs),
+            "slices": {str(k): v for k, v in sorted(slices.items())},
+            "boundary": {str(k): v for k, v in sorted(boundary.items())},
+        }
         res_tmp = directory / (RESUME_NAME + ".tmp")
         res_tmp.write_text(
             json.dumps(state, separators=(",", ":")), encoding="utf-8"
@@ -281,15 +264,18 @@ def _write_checkpoint(
     tracer.count("oocore.checkpoint_bytes", payload.nbytes)
 
 
-def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
-    """Validate and load ``RESUME.json`` + the parent checkpoint.
+def _load_resume_state(
+    directory: Path, spilled: SpilledGraph, labels: np.ndarray
+) -> tuple[dict[int, dict], dict[int, dict]] | None:
+    """Validate ``RESUME.json`` and copy the completed shards' label
+    slices from the parent checkpoint into ``labels``.
 
-    Returns ``None`` when there is nothing to resume from (no state
-    file); raises :class:`~repro.errors.SpillChecksumError` when state
-    exists but its checkpoint or boundary files fail their checksums —
-    resuming from damaged state would risk silently wrong labels.  A
-    stream-phase state restores only its completed shards' slices onto
-    ``arange(n)``; the bytes of every other shard are never read.
+    Returns ``(slices, boundary)`` keyed by completed shard, or ``None``
+    when there is nothing to resume from (no state file).  Raises
+    :class:`~repro.errors.SpillChecksumError` when a completed shard's
+    slice or boundary file fails its checksum — resuming from damaged
+    state would risk silently wrong labels.  The bytes of uncompleted
+    shards are never read.
     """
     path = directory / RESUME_NAME
     if not path.is_file():
@@ -313,107 +299,74 @@ def _load_resume_state(directory: Path, spilled: SpilledGraph) -> dict | None:
             f"({state.get('num_vertices')} vertices, "
             f"{state.get('num_arcs')} arcs)"
         )
-    ckpt = directory / str(state.get("parent_file", PARENT_CKPT_NAME))
+    ckpt = directory / PARENT_CKPT_NAME
     if not ckpt.is_file():
-        raise SpillFormatError(f"resume state names missing checkpoint {ckpt}")
+        raise SpillFormatError(f"resume state {path} has no checkpoint {ckpt}")
     size = ckpt.stat().st_size
     if size != n * 8:
         raise SpillChecksumError(
             f"parent checkpoint {ckpt} holds {size} bytes for a "
             f"{n}-vertex graph"
         )
-    phase = str(state.get("phase", "stream"))
-    completed = set(int(i) for i in state.get("completed", []))
+    ranges = spilled.plan().ranges()
+    recorded = dict(state.get("boundary", {}))
     slices: dict[int, dict] = {}
-    if phase == "stream":
-        labels = np.arange(n, dtype=np.int64)
-        ranges = spilled.plan().ranges()
-        recorded = dict(state.get("slices", {}))
-        with open(ckpt, "rb") as f:
-            for i in sorted(completed):
-                entry = recorded.get(str(i))
-                if (
-                    entry is None
-                    or not 0 <= i < len(ranges)
-                    or (int(entry["start"]), int(entry["end"])) != ranges[i]
-                ):
-                    raise SpillFormatError(
-                        f"resume state {path} records no slice of shard {i} "
-                        f"matching the spill's range"
-                    )
-                s, e = ranges[i]
-                view = memoryview(labels[s:e]).cast("B")
-                f.seek(8 * s)
-                f.readinto(view)
-                got = hashlib.sha256(view).hexdigest()
-                if got != entry.get("sha256"):
-                    raise SpillChecksumError(
-                        f"parent checkpoint {ckpt} slice [{s}:{e}] of shard "
-                        f"{i} fails its checksum (recorded "
-                        f"{str(entry.get('sha256'))[:12]}…, file {got[:12]}…) "
-                        f"— refusing to resume from corrupt state"
-                    )
-                slices[i] = {"start": s, "end": e, "sha256": got}
-    else:
-        data = ckpt.read_bytes()
-        got = hashlib.sha256(data).hexdigest()
-        if got != state.get("parent_sha256"):
-            raise SpillChecksumError(
-                f"parent checkpoint {ckpt} fails its checksum (recorded "
-                f"{str(state.get('parent_sha256'))[:12]}…, file {got[:12]}…) — "
-                f"refusing to resume from corrupt state"
-            )
-        labels = np.frombuffer(data, dtype=np.int64).copy()
     boundary: dict[int, dict] = {}
-    for key, entry in dict(state.get("boundary", {})).items():
-        bpath = directory / str(entry["file"])
-        pairs = int(entry["pairs"])
-        if not bpath.is_file() or bpath.stat().st_size != pairs * PAIR_BYTES:
-            raise SpillChecksumError(
-                f"boundary file {bpath} is missing or mis-sized for "
-                f"{pairs} recorded pairs"
-            )
-        got = hashlib.sha256(bpath.read_bytes()).hexdigest()
-        if got != entry.get("sha256"):
-            raise SpillChecksumError(
-                f"boundary file {bpath} fails its checksum — refusing to "
-                f"resume from corrupt state"
-            )
-        boundary[int(key)] = {
-            "file": str(entry["file"]),
-            "pairs": pairs,
-            "sha256": str(entry["sha256"]),
-        }
-    return {
-        "phase": phase,
-        "completed": completed,
-        "boundary": boundary,
-        "slices": slices,
-        "merge_passes": int(state.get("merge_passes", 0)),
-        "labels": labels,
-    }
+    with open(ckpt, "rb") as f:
+        for key, entry in dict(state.get("slices", {})).items():
+            i = int(key)
+            bentry = recorded.get(key)
+            if (
+                bentry is None
+                or not 0 <= i < len(ranges)
+                or (int(entry["start"]), int(entry["end"])) != ranges[i]
+            ):
+                raise SpillFormatError(
+                    f"resume state {path} records no slice and boundary of "
+                    f"shard {i} matching the spill's range"
+                )
+            s, e = ranges[i]
+            view = memoryview(labels[s:e]).cast("B")
+            f.seek(8 * s)
+            f.readinto(view)
+            got = hashlib.sha256(view).hexdigest()
+            if got != entry.get("sha256"):
+                raise SpillChecksumError(
+                    f"parent checkpoint {ckpt} slice [{s}:{e}] of shard "
+                    f"{i} fails its checksum (recorded "
+                    f"{str(entry.get('sha256'))[:12]}…, file {got[:12]}…) "
+                    f"— refusing to resume from corrupt state"
+                )
+            bpath = _boundary_path(directory, i)
+            data = bpath.read_bytes() if bpath.is_file() else b""
+            if (
+                len(data) != int(bentry["pairs"]) * PAIR_BYTES
+                or hashlib.sha256(data).hexdigest() != bentry.get("sha256")
+            ):
+                raise SpillChecksumError(
+                    f"boundary file {bpath} is missing, mis-sized or fails "
+                    f"its checksum — refusing to resume from corrupt state"
+                )
+            slices[i], boundary[i] = entry, bentry
+    return slices, boundary
 
 
 def _write_boundary(
     directory: Path, index: int, bu: np.ndarray, bv: np.ndarray
 ) -> dict:
     """Write shard ``index``'s boundary arcs as interleaved int64 pairs;
-    returns the resume-state entry ``{file, pairs, sha256}``."""
-    fname = f"boundary_{index:04d}.bin"
+    returns the resume-state entry ``{pairs, sha256}``."""
+    path = _boundary_path(directory, index)
     pairs = int(bu.size)
     arr = np.empty(pairs * 2, dtype=np.int64)
     arr[0::2] = bu
     arr[1::2] = bv
     payload = memoryview(arr).cast("B")
-    tmp = directory / (fname + ".tmp")
+    tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
         f.write(payload)
-    os.replace(tmp, directory / fname)
-    return {
-        "file": fname,
-        "pairs": pairs,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
+    os.replace(tmp, path)
+    return {"pairs": pairs, "sha256": hashlib.sha256(payload).hexdigest()}
 
 
 # ----------------------------------------------------------------------
@@ -465,11 +418,26 @@ def _apply_spill_damage(
         )
 
 
-def _armed(specs, kind: str, at: int):
-    for spec in specs:
-        if spec.kind == kind and spec.at == at:
-            return spec
-    return None
+def _crash_armed(
+    specs, kind: str, at: int, attempt: int, events: list, *, where, detail
+) -> bool:
+    """Whether a ``kind`` crash is armed at trigger ``at``; when it is,
+    its event is recorded and the caller raises."""
+    from ..resilience.faults import FaultEvent
+
+    if not any(spec.kind == kind and spec.at == at for spec in specs):
+        return False
+    events.append(
+        FaultEvent(
+            kind=kind,
+            backend="oocore",
+            attempt=attempt,
+            where=where,
+            trigger=at,
+            detail=detail,
+        )
+    )
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +489,8 @@ def oocore_cc(
         A :class:`~repro.resilience.faults.FaultPlan`; specs with
         ``backend="oocore"`` arm ``spill_corrupt``/``spill_truncate``
         (damage shard ``at`` after spilling), ``worker_crash`` (crash
-        before solving shard ``at``), and ``merge_crash`` (crash
-        entering merge pass ``at``).
+        before solving shard ``at``), and ``merge_crash`` (``at=0``:
+        crash entering the merge, after every shard is checkpointed).
     """
     graph: CSRGraph | None = None
     if isinstance(source, CSRGraph):
@@ -625,7 +593,6 @@ def _oocore_run(
     attempt,
     fault_events,
 ) -> tuple[np.ndarray, OocoreRunStats]:
-    from ..resilience.faults import FaultEvent
     from ..shard.partition import make_plan
     from ..shard.worker import solve_csr_slice
 
@@ -680,50 +647,24 @@ def _oocore_run(
     meter = ResidentMeter(memory_budget)
     meter.charge("labels", n * 8)
 
-    completed: set[int] = set()
-    boundary: dict[int, dict] = {}
+    labels = np.arange(n, dtype=np.int64)
     slices: dict[int, dict] = {}
-    merge_pass_start = 0
-    labels = None
-    if resume:
-        state = _load_resume_state(directory, spilled)
-        if state is not None:
-            completed = state["completed"]
-            boundary = state["boundary"]
-            slices = state["slices"]
-            merge_pass_start = state["merge_passes"]
-            labels = state["labels"]
-            stats.resumed = True
-            stats.skipped_shards = len(completed)
-    if labels is None:
-        labels = np.arange(n, dtype=np.int64)
+    boundary: dict[int, dict] = {}
+    state = _load_resume_state(directory, spilled, labels) if resume else None
+    if state is None:
         _create_checkpoint(directory, n)
-    checkpoint = functools.partial(
-        _write_checkpoint,
-        directory,
-        labels,
-        tracer=tracer,
-        completed=completed,
-        boundary=boundary,
-        slices=slices,
-        num_vertices=n,
-        num_arcs=spilled.num_arcs,
-    )
+    else:
+        slices, boundary = state
+        stats.resumed = True
+        stats.skipped_shards = len(slices)
 
     for i, (s, e) in enumerate(spilled.plan().ranges()):
-        if i in completed:
+        if i in slices:
             continue
-        if _armed(specs, "worker_crash", i) is not None:
-            fault_events.append(
-                FaultEvent(
-                    kind="worker_crash",
-                    backend="oocore",
-                    attempt=attempt,
-                    where=f"shard:{i}",
-                    trigger=i,
-                    detail=f"injected crash before solving shard {i}",
-                )
-            )
+        if _crash_armed(
+            specs, "worker_crash", i, attempt, fault_events,
+            where=f"shard:{i}", detail=f"injected crash before solving shard {i}",
+        ):
             raise WorkerCrashError(
                 f"injected worker crash in oocore shard {i}", shard=i
             )
@@ -756,11 +697,18 @@ def _oocore_run(
             boundary[i] = _write_boundary(directory, i, bu, bv)
             sp.update(boundary=int(bu.size), charged=charge)
         stats.shard_ms.append((time.perf_counter() - t0) * 1e3)
-        completed.add(i)
-        checkpoint(phase="stream", merge_passes=0, shard=(i, int(s), int(e)))
+        _write_checkpoint(
+            directory, labels, (i, int(s), int(e)),
+            tracer=tracer, spilled=spilled, slices=slices, boundary=boundary,
+        )
     tracer.count("oocore.shards", stats.num_shards - stats.skipped_shards)
 
     # ================== phase 3: merge ==================
+    if _crash_armed(
+        specs, "merge_crash", 0, attempt, fault_events,
+        where="merge", detail="injected crash entering the merge",
+    ):
+        raise MergeCrashError("injected crash entering the oocore merge")
     headroom = meter.headroom()
     if headroom is None:
         chunk_pairs = _DEFAULT_CHUNK_PAIRS
@@ -769,34 +717,19 @@ def _oocore_run(
             MIN_CHUNK_PAIRS, headroom // (PAIR_BYTES * MERGE_WORK_FACTOR)
         )
     bfiles = [
-        (directory / b["file"], b["pairs"])
-        for _, b in sorted(boundary.items())
+        (_boundary_path(directory, i), b["pairs"])
+        for i, b in sorted(boundary.items())
         if b["pairs"] > 0
     ]
     stats.boundary_pairs = sum(p for _, p in bfiles)
 
-    pass_idx = merge_pass_start
-    while bfiles:
-        if _armed(specs, "merge_crash", pass_idx) is not None:
-            fault_events.append(
-                FaultEvent(
-                    kind="merge_crash",
-                    backend="oocore",
-                    attempt=attempt,
-                    where=f"merge-pass:{pass_idx}",
-                    trigger=pass_idx,
-                    detail=f"injected crash entering merge pass {pass_idx}",
-                )
-            )
-            raise MergeCrashError(
-                f"injected crash entering oocore merge pass {pass_idx}"
-            )
-        hooks = 0
+    # One pass suffices.  A hook only re-parents a root under a smaller
+    # root, so trees merge and never split: once a chunk is hooked to its
+    # fixpoint its pairs share a tree through every later chunk, and
+    # after the pass no boundary pair spans two trees.
+    if bfiles:
         with tracer.span(
-            "oocore:merge-pass",
-            category="oocore",
-            passno=pass_idx,
-            chunk_pairs=int(chunk_pairs),
+            "oocore:merge-pass", category="oocore", chunk_pairs=int(chunk_pairs)
         ) as sp:
             for path, pairs in bfiles:
                 mm = np.memmap(
@@ -808,17 +741,12 @@ def _oocore_run(
                         "merge-chunk", count * PAIR_BYTES * MERGE_WORK_FACTOR
                     ):
                         block = np.asarray(mm[off * 2 : (off + count) * 2])
-                        hooks += hook_until_fixpoint(
+                        stats.merge_hooks += hook_until_fixpoint(
                             labels, block[0::2], block[1::2]
                         )
                 del mm
-            sp.update(hooks=hooks)
-        stats.merge_hooks += hooks
-        pass_idx += 1
-        stats.merge_passes = pass_idx - merge_pass_start
-        checkpoint(phase="merge", merge_passes=pass_idx)
-        if hooks == 0:
-            break
+            sp.update(hooks=stats.merge_hooks)
+        stats.merge_passes = 1
     tracer.count("oocore.merge_passes", stats.merge_passes)
 
     flatten_active(labels)

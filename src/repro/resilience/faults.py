@@ -27,8 +27,9 @@ identical recovery sequence — on any machine.
                     (oocore); detected by checksum on the read path
 ``spill_truncate``  spilled shard ``at``'s file loses its tail (oocore);
                     detected by size check on the read path
-``merge_crash``     the out-of-core boundary merge crashes entering
-                    pass ``at``
+``merge_crash``     the out-of-core boundary merge crashes on entry,
+                    after every shard is checkpointed; its one trigger
+                    point is ``at=0``
 ``msg_drop``        the ``at``-th matching message on each matching
                     link of the simulated network vanishes (dist);
                     recovered by ack-driven retransmission
@@ -306,10 +307,12 @@ class FaultPlan:
                 at = rng.randrange(8)
             elif kind == "hang" and pool_like:
                 at = rng.randrange(8)
-            elif kind in ("spill_corrupt", "spill_truncate", "merge_crash"):
-                # Trigger indices are shard / merge-pass ordinals: small.
+            elif kind in ("spill_corrupt", "spill_truncate"):
+                # Trigger indices are shard ordinals: small.
                 where = rng.choice(["colidx", "rowptr"])
                 at = rng.randrange(4)
+            elif kind == "merge_crash":
+                where, at = "", 0  # the merge's one trigger point
             value = None
             if kind in ("msg_drop", "msg_dup", "msg_reorder"):
                 where = rng.choice(["update", "report", "proceed", ""])

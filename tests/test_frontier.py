@@ -287,6 +287,31 @@ class TestHookUntilFixpoint:
         hooks = hook_until_fixpoint(parent, u, v)
         assert hooks == roots_before - np.count_nonzero(parent == ids)
 
+    @given(forest_and_batch(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hooked_batches_stay_hooked(self, case, data):
+        """Trees only merge: once batch A and then batch B are each
+        hooked to their fixpoint, no pair of A ∪ B spans two trees.  A
+        further call on the union hooks nothing and leaves every root
+        in place; it may only shorten paths.  This is why the
+        out-of-core merge makes one pass over its boundary chunks."""
+        parent, ua, va = case
+        n = parent.size
+        b = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                max_size=3 * n,
+            )
+        )
+        ub = np.asarray([x for x, _ in b], dtype=np.int64)
+        vb = np.asarray([y for _, y in b], dtype=np.int64)
+        hook_until_fixpoint(parent, ua, va)
+        hook_until_fixpoint(parent, ub, vb)
+        roots = _flatten_reference(parent)
+        u, v = np.concatenate([ua, ub]), np.concatenate([va, vb])
+        assert hook_until_fixpoint(parent, u, v) == 0
+        assert np.array_equal(_flatten_reference(parent), roots)
+
     def test_both_regimes_in_one_call(self):
         # A shuffled path from the identity forest, its edges repeated
         # past the cutoff: the first round runs dense, and the small

@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.graph.build import from_edges
 from repro.graph.spill import SpilledGraph
+from repro.observe import Tracer
 from repro.outofcore import PARENT_CKPT_NAME, RESUME_NAME, active_spill_dirs, oocore_cc
 from repro.resilience import FAULT_KINDS, OOCORE_FAULT_KINDS, FaultPlan, FaultSpec
 
@@ -138,15 +139,31 @@ def test_merge_crash_auto_resume():
     assert active_spill_dirs() == []
 
 
-def test_mid_merge_crash_resumes_from_checkpointed_pass(tmp_path):
-    """Crashing *between* merge passes resumes from the checkpointed
-    parent array and still reaches the oracle fixpoint."""
+def test_merge_crash_resume_solves_no_shard(tmp_path):
+    """A crash in the merge resumes from the end of the stream: every
+    shard is restored from its checkpointed slice, none is solved again,
+    and the one merge pass runs again."""
     g = _graph(200, 800, seed=13)
     d = tmp_path / "spill"
     with pytest.raises(MergeCrashError):
-        oocore_cc(g, shards=6, spill_dir=d, fault_plan=_spec("merge_crash", at=1))
-    labels, stats, _ = oocore_cc(g, shards=6, spill_dir=d, resume=True)
+        oocore_cc(g, shards=6, spill_dir=d, fault_plan=_spec("merge_crash", at=0))
+    with Tracer() as t:
+        labels, stats, _ = oocore_cc(g, shards=6, spill_dir=d, resume=True)
     assert np.array_equal(labels, _serial(g))
+    assert t.find_spans(name="oocore:shard") == []
+    assert stats.skipped_shards == 6
+    assert stats.merge_passes == 1
+
+
+def test_merge_crash_past_entry_never_fires():
+    """The merge has one trigger point, ``at=0``; a later ordinal arms
+    nothing."""
+    g = _graph()
+    labels, _, recovery = oocore_cc(
+        g, shards=4, fault_plan=_spec("merge_crash", at=1)
+    )
+    assert np.array_equal(labels, _serial(g))
+    assert recovery.faults == []
 
 
 def test_persistent_crash_exhausts_auto_resume():
@@ -222,12 +239,13 @@ def test_garbage_in_uncompleted_slice_ignored(tmp_path):
     assert stats.skipped_shards == 3
 
 
-def test_v1_resume_state_rejected(tmp_path):
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_v1_resume_state_rejected(tmp_path, version):
     g = _graph()
     d, _ = _crash_mid_stream(tmp_path, g, at=2, shards=4)
     path = d / RESUME_NAME
     state = json.loads(path.read_text())
-    state["schema"] = "repro.outofcore/resume/v1"
+    state["schema"] = f"repro.outofcore/resume/{version}"
     path.write_text(json.dumps(state))
     with pytest.raises(SpillFormatError, match="schema"):
         oocore_cc(g, shards=4, spill_dir=d, resume=True)
@@ -274,7 +292,9 @@ def test_random_plan_for_oocore_backend_samples_oocore_kinds():
     for spec in plan.faults:
         assert spec.backend == "oocore"
         assert spec.kind in OOCORE_FAULT_KINDS
-        assert spec.at < 8  # shard/pass ordinals, not warp counts
+        assert spec.at < 8  # shard ordinals, not warp counts
+        if spec.kind == "merge_crash":
+            assert spec.at == 0  # the merge's one trigger point
 
 
 def test_random_plans_are_deterministic():
