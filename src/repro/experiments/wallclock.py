@@ -474,10 +474,10 @@ def _run_sharded(run: GraphRun) -> dict:
 
     scaling: dict[str, float] = {}
     for k in run.workers:
-        # A persistent executor per K: shared-memory export is paid once
+        # A persistent executor per K: the graph's shard export is built
         # and the K-worker pool starts in the untimed verification run,
-        # so the timed quantity is the amortized per-solve cost; K=1 pays
-        # the identical transport, keeping the scaling ratio honest.
+        # so the timed quantity is the per-solve cost; K=1 runs the
+        # identical path, keeping the scaling ratio honest.
         with ShardedExecutor(run.graph, workers=k, force_processes=True) as ex:
             run.verify(f"sharded(K={k})", ex.run().labels)
             scaling[str(k)] = round(_time_best([ex.run], run.repeats)[0], 3)

@@ -17,7 +17,6 @@ arbitrary edge lists live in :mod:`repro.graph.build`.
 
 from __future__ import annotations
 
-import atexit
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -25,162 +24,7 @@ import numpy as np
 
 from ..errors import GraphValidationError
 
-__all__ = ["CSRGraph", "SharedGraphHandle", "leaked_shared_segments"]
-
-
-# ----------------------------------------------------------------------
-# Shared-memory export (repro.shard transport)
-# ----------------------------------------------------------------------
-#: Segments created by :meth:`CSRGraph.to_shared` (and the shard
-#: runner's label buffers) that have not been unlinked yet.  The atexit
-#: hook below frees whatever is left so a worker crash — or a caller
-#: that forgot cleanup — cannot leak ``/dev/shm`` segments past
-#: interpreter exit.
-_SHARED_SEGMENTS: dict[str, "object"] = {}
-
-
-def _register_shared_segment(shm) -> None:
-    _SHARED_SEGMENTS[shm.name] = shm
-
-
-def _forget_shared_segment(name: str) -> None:
-    _SHARED_SEGMENTS.pop(name, None)
-
-
-def leaked_shared_segments() -> list[str]:
-    """Names of shared-memory segments created here and not yet freed."""
-    return sorted(_SHARED_SEGMENTS)
-
-
-def _cleanup_shared_segments() -> None:
-    """Unlink every still-registered segment (idempotent, error-tolerant)."""
-    for name in list(_SHARED_SEGMENTS):
-        shm = _SHARED_SEGMENTS.pop(name, None)
-        if shm is None:
-            continue
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass
-
-
-atexit.register(_cleanup_shared_segments)
-
-
-def _attach_segment(name: str, *, track: bool):
-    """Attach an existing segment by name.
-
-    ``track=False`` is for **spawn-context worker processes**: before
-    3.13 merely *attaching* registers the segment with the resource
-    tracker — and since spawn children inherit the parent's tracker fd,
-    that registration lands in (or is later torn out of) the *creator's*
-    tracker.  Registration must therefore be suppressed at attach time;
-    unregistering after the fact would strip the creator's entry and
-    make the creator's own ``unlink`` a double-unregister (tracker
-    ``KeyError`` noise at exit).  Fork-context workers share the
-    parent's tracker where registration is an idempotent set-add, so
-    they pass ``track=True`` and attach normally.
-    """
-    from multiprocessing import shared_memory
-
-    if track:
-        return shared_memory.SharedMemory(name=name)
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    except ImportError:
-        return shared_memory.SharedMemory(name=name)
-
-
-@dataclass
-class SharedGraphHandle:
-    """Picklable descriptor of a CSR graph exported to shared memory.
-
-    Carries the segment name plus the shapes needed to reconstruct the
-    arrays; the attached :class:`multiprocessing.shared_memory.
-    SharedMemory` object itself is process-local and deliberately
-    dropped on pickle — worker processes re-attach by name via
-    :meth:`CSRGraph.from_shared`.
-
-    The *creating* process owns the segment: call :meth:`unlink` (or use
-    the handle as a context manager) when every consumer is done.  An
-    atexit guard frees any handle never unlinked, so a crashed worker
-    or an aborted run cannot leak ``/dev/shm`` segments.
-    """
-
-    shm_name: str
-    num_vertices: int
-    num_arcs: int
-    graph_name: str = "graph"
-
-    def __post_init__(self) -> None:
-        self._shm = None
-
-    # -- pickling: the shm object never crosses the process boundary ---
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_shm"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    @property
-    def nbytes(self) -> int:
-        """Total payload size: row_ptr (n+1) plus col_idx (arcs), int64."""
-        return (self.num_vertices + 1 + self.num_arcs) * 8
-
-    def attach(self, *, track: bool = True):
-        """The underlying segment, attaching by name if needed."""
-        if self._shm is None:
-            self._shm = _attach_segment(self.shm_name, track=track)
-        return self._shm
-
-    def close(self) -> None:
-        """Detach this process's mapping (the segment itself survives)."""
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:
-                return  # arrays still view the buffer; atexit retries
-            self._shm = None
-
-    def unlink(self) -> None:
-        """Free the segment (creator-side; safe to call more than once)."""
-        shm = self._shm
-        if shm is None:
-            try:
-                shm = _attach_segment(self.shm_name, track=True)
-            except FileNotFoundError:
-                _forget_shared_segment(self.shm_name)
-                return
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-        self._shm = None
-        _forget_shared_segment(self.shm_name)
-
-    def __enter__(self) -> "SharedGraphHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.unlink()
-        return False
+__all__ = ["CSRGraph"]
 
 
 @dataclass(frozen=True)
@@ -361,55 +205,6 @@ class CSRGraph:
         return cached
 
     # ------------------------------------------------------------------
-    # Shared-memory export (zero-copy transport for repro.shard workers)
-    # ------------------------------------------------------------------
-    def to_shared(self) -> SharedGraphHandle:
-        """Export ``row_ptr``/``col_idx`` into one shared-memory segment.
-
-        Returns a picklable :class:`SharedGraphHandle` that worker
-        processes pass to :meth:`from_shared` to attach the arrays
-        zero-copy.  The calling process owns the segment and must
-        :meth:`~SharedGraphHandle.unlink` it (the handle is a context
-        manager); segments never unlinked are freed by an atexit guard.
-        """
-        from multiprocessing import shared_memory
-
-        n, arcs = self.num_vertices, self.num_arcs
-        nbytes = (n + 1 + arcs) * 8
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        row = np.ndarray(n + 1, dtype=np.int64, buffer=shm.buf)
-        col = np.ndarray(arcs, dtype=np.int64, buffer=shm.buf, offset=(n + 1) * 8)
-        np.copyto(row, self.row_ptr)
-        if arcs:
-            np.copyto(col, self.col_idx)
-        del row, col  # release the exported views so close() can succeed
-        handle = SharedGraphHandle(shm.name, n, arcs, self.name)
-        handle._shm = shm
-        _register_shared_segment(shm)
-        return handle
-
-    @classmethod
-    def from_shared(
-        cls, handle: SharedGraphHandle, *, track: bool = True
-    ) -> "CSRGraph":
-        """Attach a graph exported by :meth:`to_shared`, zero-copy.
-
-        The arrays view the shared segment directly (no copy); the
-        returned graph keeps the mapping alive for its own lifetime.
-        Spawn-context worker processes should pass ``track=False`` so
-        their private resource tracker does not claim (and later
-        destroy) a segment owned by the parent; fork-context workers
-        share the parent's tracker and must keep the default.
-        """
-        shm = handle.attach(track=track)
-        n, arcs = handle.num_vertices, handle.num_arcs
-        row = np.ndarray(n + 1, dtype=np.int64, buffer=shm.buf)
-        col = np.ndarray(arcs, dtype=np.int64, buffer=shm.buf, offset=(n + 1) * 8)
-        graph = cls(row, col, name=handle.graph_name)
-        object.__setattr__(graph, "_shm", shm)  # keep the mapping alive
-        return graph
-
-    # ------------------------------------------------------------------
     # Disk spill (out-of-core substrate; see repro.graph.spill)
     # ------------------------------------------------------------------
     def spill(self, directory, plan=4):
@@ -434,6 +229,14 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # The memo is rebuilt on demand, and may hold a shard export
+        # (a lock and a shared segment) that cannot cross a pickle.
+        return {"row_ptr": self.row_ptr, "col_idx": self.col_idx, "name": self.name}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
     def with_name(self, name: str) -> "CSRGraph":
         """Return the same graph relabeled for reports (arrays shared)."""
         g = CSRGraph(self.row_ptr, self.col_idx, name=name)

@@ -15,7 +15,7 @@ too and merge in bounded chunks through a multi-pass loop.
   :func:`~repro.outofcore.budget.auto_shard_count` — budget feasibility
   and budget-driven shard sizing.
 * :func:`active_spill_dirs` — leak probe for tests (mirrors
-  :func:`repro.graph.csr.leaked_shared_segments`).
+  :func:`repro.shard.leaked_shared_segments`).
 
 See ``docs/out-of-core.md`` for the on-disk format, the budget
 semantics, and the crash-resume protocol.

@@ -11,7 +11,10 @@ merge exactly once, and hooking only ever replaces a root's parent with
 a smaller member of the same component — the same invariant every other
 backend in this library rests on.
 
-Two execution modes share that identical dataflow:
+Everything that depends only on the graph and the plan — each shard's
+local CSR and edge pairs, and the boundary arcs — is built once per
+graph into a :class:`~repro.shard.export.ShardExport` memoised on the
+graph, so a repeat run only hooks.  Two execution modes read it:
 
 *inline*
     Shards solved sequentially in the calling process.  The default for
@@ -21,10 +24,9 @@ Two execution modes share that identical dataflow:
     construction.
 *processes*
     Real ``multiprocessing`` workers in one process-wide pool, reading
-    the CSR arrays zero-copy from a ``multiprocessing.shared_memory``
-    segment (:meth:`CSRGraph.to_shared`) and writing their label slices
-    into a second shared segment.  Only boundary arcs, spans, and
-    counters cross the process boundary by value.
+    their shard zero-copy from the export's ``multiprocessing.shared_memory``
+    segment and writing their labels into its label region.  Only
+    spans and timings cross the process boundary by value.
 
 Worker failures follow :mod:`repro.resilience` semantics: a crashed
 shard is retried (``max_retries`` per shard), then recomputed inline in
@@ -49,14 +51,11 @@ import numpy as np
 from ..core.ecl_cc_numpy import NumpyRunStats
 from ..core.frontier import flatten_active, hook_until_fixpoint
 from ..core.result import CCResult
-from ..graph.csr import (
-    CSRGraph,
-    _forget_shared_segment,
-    _register_shared_segment,
-)
+from ..graph.csr import CSRGraph
 from ..observe import Span, current_tracer
+from .export import release_exports, shard_export
 from .partition import ShardPlan, make_plan
-from .worker import SHARD_BACKENDS, _exit_with_parent, shard_worker, solve_shard_local
+from .worker import SHARD_BACKENDS, _exit_with_parent, shard_worker, solve_into
 
 __all__ = [
     "ShardedExecutor",
@@ -112,8 +111,9 @@ def _borrow_pool(workers: int, method: str):
 
 
 def shutdown_pool() -> None:
-    """Join the process-wide pool's workers and stop the forkserver
-    (idempotent; run at exit).  The next process-mode run starts afresh."""
+    """Join the process-wide pool's workers, stop the forkserver and free
+    every cached shard export's shared segment (idempotent; run at
+    exit).  The next process-mode run starts afresh."""
     global _POOL, _POOL_KEY
     with _POOL_LOCK:
         pool, _POOL, _POOL_KEY = _POOL, None, None
@@ -123,6 +123,7 @@ def shutdown_pool() -> None:
         from multiprocessing import forkserver
 
         forkserver._forkserver._stop()
+    release_exports()
 
 
 def _forget_pool() -> None:
@@ -137,7 +138,10 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 @dataclass
 class ShardedRunStats:
-    """Counters for one sharded run (``CCResult.stats``)."""
+    """Counters for one sharded run (``CCResult.stats``).
+
+    ``export_reused`` is true when the run found the graph's shard
+    export already built, so it sliced nothing."""
 
     num_shards: int = 0
     workers: int = 0
@@ -152,6 +156,7 @@ class ShardedRunStats:
     merge_rounds: int = 0
     retries: int = 0
     fallbacks: int = 0
+    export_reused: bool = False
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -182,15 +187,14 @@ def merge_boundary(
 
 
 class ShardedExecutor:
-    """Reusable sharded solver for one graph.
+    """Sharded solver for one graph: a context-managed handle on the
+    graph's memoised shard export.
 
-    Construction partitions the graph and — in process mode — exports
-    it to shared memory, so repeated :meth:`run` calls (the
-    serving/benchmark pattern) pay the transport once.  Runs borrow the
-    process-wide worker pool (see :mod:`repro.shard`); the executor owns
-    only its two shared segments.  Use as a context manager, or call :meth:`close`;
-    segments never freed are reclaimed by the atexit guard in
-    :mod:`repro.graph.csr`.
+    :meth:`run` builds the export on first use (or finds it built by an
+    earlier run on the graph) and then only hooks.  Runs borrow the
+    process-wide worker pool (see :mod:`repro.shard`).  :meth:`close`
+    — or leaving the ``with`` block — releases the export, freeing its
+    shared segment now rather than when the graph is dropped.
     """
 
     def __init__(
@@ -227,53 +231,21 @@ class ShardedExecutor:
                 and graph.num_arcs >= min_parallel
             )
         )
-        self._graph_handle = None
-        self._labels_shm = None
         self._start_method = ""
-        self._track = True
         if self.use_processes:
-            self._setup_processes(start_method)
-
-    # -- process-mode plumbing ----------------------------------------
-    def _setup_processes(self, start_method: str | None) -> None:
-        from multiprocessing import shared_memory
-
-        method = start_method or DEFAULT_START_METHOD
-        self._start_method = method
+            self._start_method = start_method or DEFAULT_START_METHOD
         # Fork workers share the parent's resource tracker (registration
         # is an idempotent set-add); forkserver and spawn workers attach
         # untracked so they never claim the parent's segments.
-        self._track = method == "fork"
-        n = self.graph.num_vertices
-        nbytes = (2 * n + 1 + self.graph.num_arcs) * 8
-        with current_tracer().span("shard:transport", category="shard", stage="export", bytes=nbytes):
-            self._graph_handle = self.graph.to_shared()
-            self._labels_shm = shared_memory.SharedMemory(
-                create=True, size=max(8, n * 8)
-            )
-            _register_shared_segment(self._labels_shm)
+        self._track = self._start_method == "fork"
+        self._export = None
 
     def close(self) -> None:
-        """Free the shared segments (idempotent); the pool stays warm."""
-        if self._labels_shm is None and self._graph_handle is None:
-            return
-        with current_tracer().span("shard:transport", category="shard", stage="release"):
-            if self._labels_shm is not None:
-                name = self._labels_shm.name
-                try:
-                    self._labels_shm.close()
-                except BufferError:  # a view still alive; atexit retries
-                    pass
-                else:
-                    try:
-                        self._labels_shm.unlink()
-                    except FileNotFoundError:
-                        pass
-                    _forget_shared_segment(name)
-                self._labels_shm = None
-            if self._graph_handle is not None:
-                self._graph_handle.unlink()
-                self._graph_handle = None
+        """Release the export this executor ran on (idempotent); the
+        pool stays warm."""
+        if self._export is not None:
+            self._export.release()
+            self._export = None
 
     def __enter__(self) -> "ShardedExecutor":
         return self
@@ -283,12 +255,21 @@ class ShardedExecutor:
         return False
 
     # -- execution ------------------------------------------------------
+    def _acquire_export(self):
+        """The graph's export, locked for this run: ``(export, reused)``."""
+        while True:
+            export, reused = shard_export(self.graph, self.plan, shared=self.use_processes)
+            export.lock.acquire()
+            if not export.released:  # not released between lookup and lock
+                self._export = export
+                return export, reused
+            export.lock.release()
+
     def run(self) -> CCResult:
         """Solve the graph once; labels are a fresh array every call."""
         from ..resilience.supervisor import RecoveryInfo
 
         graph, plan = self.graph, self.plan
-        n = graph.num_vertices
         tracer = current_tracer()
         stats = ShardedRunStats(
             num_shards=plan.num_shards,
@@ -322,19 +303,22 @@ class ShardedExecutor:
         timings["partition_ms"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        if n == 0:
-            labels = np.empty(0, dtype=np.int64)
-            boundary: list[tuple[np.ndarray, np.ndarray]] = []
-        elif self.use_processes:
-            labels, boundary = self._run_processes(ranges, stats, recovery, tracer)
-        else:
-            labels, boundary = self._run_inline(ranges, stats, tracer)
+        export, stats.export_reused = self._acquire_export()
+        try:
+            if self.use_processes:
+                labels = self._run_processes(export, stats, recovery, tracer)
+            else:
+                labels = self._run_inline(export, stats, tracer)
+        finally:
+            export.lock.release()
         timings["workers_ms"] = (time.perf_counter() - t0) * 1e3
 
-        empty = [np.empty(0, dtype=np.int64)]
-        bu = np.concatenate(empty + [b[0] for b in boundary])
-        bv = np.concatenate(empty + [b[1] for b in boundary])
+        bu, bv = export.boundary_u, export.boundary_v
+        stats.shard_boundary = list(export.shard_boundary)
         stats.boundary_edges = int(bu.size)
+        if tracer.enabled:
+            for i, count in enumerate(export.shard_boundary):
+                tracer.gauge(f"shard.boundary.{i}", count)
 
         t0 = time.perf_counter()
         with tracer.span(
@@ -358,10 +342,17 @@ class ShardedExecutor:
             recovery=recovery if recovery.attempts else None,
         )
 
-    def _run_inline(self, ranges, stats, tracer):
-        labels = np.empty(self.graph.num_vertices, dtype=np.int64)
-        boundary = []
-        for i, (s, e) in enumerate(ranges):
+    def _solve_inline(self, out, data, export, shard: int) -> None:
+        s, e = export.ranges[shard]
+        solve_into(
+            out, data, export.layout[shard], s, e, backend=self.shard_backend,
+            sorted_adj=export.sorted_adj, name=f"{export.graph_name}[{s}:{e}]",
+        )
+
+    def _run_inline(self, export, stats, tracer):
+        labels = np.empty(export.num_vertices, dtype=np.int64)
+        data = export.data()
+        for i, (s, e) in enumerate(export.ranges):
             with tracer.span(
                 "shard:worker",
                 category="shard",
@@ -370,41 +361,37 @@ class ShardedExecutor:
                 end=e,
                 vertices=e - s,
                 arcs=stats.shard_arcs[i],
-            ) as span:
-                lab, bu, bv = solve_shard_local(
-                    self.graph, s, e, backend=self.shard_backend
-                )
-                span.set("boundary", int(bu.size))
-            labels[s:e] = lab
-            boundary.append((bu, bv))
-            stats.shard_boundary.append(int(bu.size))
-            if tracer.enabled:
-                tracer.gauge(f"shard.boundary.{i}", bu.size)
-        return labels, boundary
+                boundary=export.shard_boundary[i],
+            ):
+                self._solve_inline(labels, data, export, i)
+        return labels
 
     def _armed_crash(self, shard: int, attempt: int) -> bool:
         plan = self.fault_plan
         specs = plan.for_backend("sharded", attempt) if plan else ()
         return any(s.kind == "worker_crash" and s.at == shard for s in specs)
 
-    def _run_processes(self, ranges, stats, recovery, tracer):
+    def _run_processes(self, export, stats, recovery, tracer):
         from concurrent.futures import wait
         from concurrent.futures.process import BrokenProcessPool
 
         from ..resilience.supervisor import AttemptRecord
 
-        n = self.graph.num_vertices
+        n = export.num_vertices
+        ranges = export.ranges
         pool = _borrow_pool(self.workers, self._start_method)
-        shared = np.ndarray(n, dtype=np.int64, buffer=self._labels_shm.buf)
         trace = bool(tracer.enabled)
         results: dict[int, dict] = {}
-        fallback_slices: dict[int, np.ndarray] = {}
+        fallbacks: set[int] = set()
 
         def task_for(shard: int, attempt: int) -> dict:
             s, e = ranges[shard]
             return {
-                "graph": self._graph_handle,
-                "labels_name": self._labels_shm.name,
+                "segment": export.segment,
+                "size": export.size,
+                "layout": export.layout[shard],
+                "sorted_adj": export.sorted_adj,
+                "name": f"{export.graph_name}[{s}:{e}]",
                 "start": s,
                 "end": e,
                 "shard": shard,
@@ -420,18 +407,14 @@ class ShardedExecutor:
             # which injected faults cannot reach).
             stats.fallbacks += 1
             recovery.fallbacks += 1
-            s, e = ranges[shard]
+            fallbacks.add(shard)
             t0 = time.perf_counter()
-            lab, bu, bv = solve_shard_local(
-                self.graph, s, e, backend=self.shard_backend
-            )
-            fallback_slices[shard] = lab
+            data = export.data()
+            self._solve_inline(data, data, export, shard)
+            del data
             results[shard] = {
                 "shard": shard,
                 "pid": None,
-                "bu": bu,
-                "bv": bv,
-                "boundary": int(bu.size),
                 "spans": [],
                 "duration_ms": (time.perf_counter() - t0) * 1e3,
             }
@@ -504,17 +487,13 @@ class ShardedExecutor:
                     submit(shard, attempt)
 
         with tracer.span("shard:transport", category="shard", stage="collect", bytes=n * 8):
-            labels = shared.copy()
-        for shard, lab in fallback_slices.items():
-            s, e = ranges[shard]
-            labels[s:e] = lab
-        del shared
+            data = export.data()
+            labels = data[:n].copy()
+            del data
 
-        boundary = []
         for shard in range(len(ranges)):
             payload = results[shard]
             s, e = ranges[shard]
-            stats.shard_boundary.append(int(payload["boundary"]))
             with tracer.span(
                 "shard:worker",
                 category="shard",
@@ -523,20 +502,18 @@ class ShardedExecutor:
                 end=e,
                 vertices=e - s,
                 arcs=stats.shard_arcs[shard],
-                boundary=int(payload["boundary"]),
+                boundary=export.shard_boundary[shard],
                 pid=payload["pid"],
-                fallback=shard in fallback_slices,
+                fallback=shard in fallbacks,
             ) as span:
                 pass
             if tracer.enabled:
                 # The worker already ran; stamp the span with its
                 # measured duration so the folded children fit inside.
                 span.duration_ms = payload["duration_ms"]
-                tracer.gauge(f"shard.boundary.{shard}", payload["boundary"])
                 if payload["spans"]:
                     _fold_child_spans(tracer, span, payload["spans"])
-            boundary.append((payload["bu"], payload["bv"]))
-        return labels, boundary
+        return labels
 
 
 def _fold_child_spans(tracer, parent_span: Span, child_spans: list[dict]) -> None:
@@ -566,13 +543,15 @@ def sharded_cc(
     max_retries: int = 1,
     start_method: str | None = None,
 ) -> CCResult:
-    """One-shot sharded solve (build an executor, run, free its segments).
+    """One sharded solve.
 
-    Process-mode calls borrow the warm process-wide worker pool.  For
-    repeated solves of the same graph construct a
-    :class:`ShardedExecutor` directly — it keeps the shared segments.
+    The graph's shard export is kept for later calls on the same graph
+    and plan (freed when the graph is dropped, by
+    :func:`~repro.shard.export.release_exports` or by
+    :func:`shutdown_pool`); process-mode calls borrow the warm
+    process-wide worker pool.
     """
-    with ShardedExecutor(
+    return ShardedExecutor(
         graph,
         workers=workers,
         partitioner=partitioner,
@@ -582,5 +561,4 @@ def sharded_cc(
         fault_plan=fault_plan,
         max_retries=max_retries,
         start_method=start_method,
-    ) as ex:
-        return ex.run()
+    ).run()

@@ -1,20 +1,26 @@
-"""Worker-process side of the sharded executor.
+"""Shard solves: the local solve of an exported shard, and its process entry.
 
-:func:`solve_shard_local` is the pure per-shard computation: slice one
-contiguous vertex range of a CSR graph into a local CSR (one ``cumsum``
-over an arc mask — no renumbering table, a property of contiguous
-partitions), run a registered ECL-CC backend on it, and report the
-shard's global labels plus its cross-shard boundary arcs.
-:func:`solve_slice_all_arcs` is the one copy of that slice-and-solve
-step; the distributed hosts call it for the arcs in both directions.
+:func:`solve_into` is the per-shard computation of the ``sharded``
+backend: build the shard's local graph from its
+:class:`~repro.shard.export.ShardExport` arrays, seed the local graph's
+``edge_array()`` and sorted-adjacency memo from them, run a registered
+ECL-CC backend, and write the shard's global labels.  The inline mode,
+the process workers and the inline fallback of a failed shard all call
+it; none of them slices.
 
 :func:`shard_worker` is the picklable process entry point the
 :class:`~repro.shard.runner.ShardedExecutor` submits to its pool.  It
-reads the graph zero-copy out of shared memory (attachments are cached
-for the current run, so a warm worker attaches each segment once),
-writes its label slice into the shared output segment, and returns only
-small metadata: boundary arcs, spans recorded under the worker's own
-tracer (folded into the parent trace by the runner), and counters.
+attaches the export's shared segment (the mapping is cached, so a warm
+worker attaches each segment once), solves its shard into the
+segment's label region, and returns only spans recorded under the
+worker's own tracer (folded into the parent trace by the runner) and
+its timing.
+
+:func:`solve_shard_local`, :func:`solve_csr_slice` and
+:func:`solve_slice_all_arcs` slice and solve in one step, for callers
+that see a shard once: the out-of-core streamer feeds spilled shards
+to :func:`solve_csr_slice`, and the distributed hosts call
+:func:`solve_slice_all_arcs` for the cross arcs in both directions.
 """
 
 from __future__ import annotations
@@ -26,15 +32,57 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..errors import WorkerCrashError
-from ..graph.csr import CSRGraph, SharedGraphHandle, _attach_segment
+from ..graph.csr import CSRGraph
 from ..observe import Tracer, current_tracer
+from .export import _attach_segment, slice_csr
 
-__all__ = ["shard_worker", "solve_csr_slice", "solve_shard_local", "solve_slice_all_arcs"]
+__all__ = [
+    "shard_worker",
+    "solve_csr_slice",
+    "solve_into",
+    "solve_shard_local",
+    "solve_slice_all_arcs",
+]
 
 #: Backends a shard may run locally.  Deliberately excludes "sharded"
 #: (no recursive process trees) and the simulated-hardware backends,
 #: whose modeled clocks are meaningless inside a wall-clock shard.
 SHARD_BACKENDS = ("numpy", "contract", "serial", "fastsv")
+
+
+def solve_into(
+    out: np.ndarray,
+    data: np.ndarray,
+    layout: tuple[int, ...],
+    start: int,
+    end: int,
+    *,
+    backend: str,
+    sorted_adj: bool,
+    name: str,
+) -> None:
+    """Solve one exported shard and write ``out[start:end]``.
+
+    ``data`` is the export's storage array and ``layout`` the shard's
+    ``(rp, cols, eu, ev, end)`` offsets into it; ``sorted_adj`` says the
+    shard's adjacency lists are known to be sorted.  The labels written
+    are the induced subgraph's min-member labels, shifted to global ids.
+    """
+    if end <= start:
+        return
+    o_rp, o_cols, o_eu, o_ev, o_end = layout
+    local = CSRGraph(data[o_rp:o_cols], data[o_cols:o_eu], name=name)
+    eu, ev = data[o_eu:o_ev], data[o_ev:o_end]
+    eu.setflags(write=False)
+    ev.setflags(write=False)
+    local._derived["edge_uv"] = (eu, ev)
+    if sorted_adj:
+        local._derived["sorted_adj"] = True
+
+    from ..core.api import connected_components
+
+    labels = connected_components(local, backend=backend, full_result=False)
+    np.add(labels, start, out=out[start:end])
 
 
 def solve_shard_local(
@@ -103,21 +151,11 @@ def _solve_slice(rp, cols, start, end, backend, name, *, low_half):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
     rp = np.asarray(rp)
-    base = int(rp[0])
-    with current_tracer().span("shard:slice", category="shard", arcs=int(cols.size)):
-        local_mask = (cols >= start) & (cols < end)
-
-        # Local CSR: prefix-sum the kept-arc mask, gather at the old row
-        # boundaries.  O(shard) time, independent of the rest of the graph.
-        csum = np.empty(cols.size + 1, dtype=np.int64)
-        csum[0] = 0
-        np.cumsum(local_mask, out=csum[1:])
-        local_rp = csum[rp - base]
-        local_cols = np.asarray(cols[local_mask]) - start
-        local = CSRGraph(local_rp, local_cols, name=name)
+    local_rp, local_cols, local_mask = slice_csr(rp, cols, start, end)
 
     from ..core.api import connected_components
 
+    local = CSRGraph(local_rp, local_cols, name=name)
     labels = connected_components(local, backend=backend, full_result=False)
     labels = labels + start
 
@@ -141,24 +179,23 @@ def _solve_slice(rp, cols, start, end, backend, name, *, low_half):
 # Process entry point
 # ----------------------------------------------------------------------
 #: Per-process cache of shared-memory attachments, keyed by segment
-#: name.  A warm pool worker attaches each graph/label segment on first
-#: use and reuses the mapping for every later task of the same run.
+#: name.  A warm pool worker attaches an export's segment on first use
+#: and reuses the mapping while its tasks keep naming that segment.
 _ATTACHMENTS: dict[str, object] = {}
 
 
-def _attach_run(names: tuple[str, ...], *, track: bool) -> list:
-    """The mappings of ``names``, cached; other cached mappings are closed
-    first, as an earlier run's unlinked segments would stay pinned."""
-    for name in [n for n in _ATTACHMENTS if n not in names]:
+def _attach(name: str, *, track: bool):
+    """The mapping of ``name``, cached; other cached mappings are closed
+    first, as a released export's unlinked segment would stay pinned."""
+    for other in [n for n in _ATTACHMENTS if n != name]:
         try:
-            _ATTACHMENTS[name].close()
+            _ATTACHMENTS[other].close()
         except BufferError:  # a view outlived its task; retry next task
             continue
-        del _ATTACHMENTS[name]
-    for name in names:
-        if name not in _ATTACHMENTS:
-            _ATTACHMENTS[name] = _attach_segment(name, track=track)
-    return [_ATTACHMENTS[name] for name in names]
+        del _ATTACHMENTS[other]
+    if name not in _ATTACHMENTS:
+        _ATTACHMENTS[name] = _attach_segment(name, track=track)
+    return _ATTACHMENTS[name]
 
 
 def _exit_with_parent() -> None:
@@ -197,8 +234,9 @@ def _serialize_spans(spans) -> list[dict]:
 def shard_worker(task: dict) -> dict:
     """Run one shard task inside a pool worker.
 
-    ``task`` keys: ``graph`` (:class:`SharedGraphHandle`),
-    ``labels_name`` (shared label segment), ``start``/``end``/``shard``,
+    ``task`` keys: ``segment`` (the export's shared segment) and
+    ``size`` (its length in ``int64``), ``layout``/``sorted_adj``/``name``
+    (the shard's entries of the export), ``start``/``end``/``shard``,
     ``backend``, ``track`` (resource-tracker policy: ``True`` for fork
     workers, ``False`` otherwise), ``trace`` (record spans), ``crash``
     (injected :class:`WorkerCrashError`, from the fault plan).
@@ -210,29 +248,22 @@ def shard_worker(task: dict) -> dict:
             shard=task["shard"],
             pid=os.getpid(),
         )
-    handle: SharedGraphHandle = task["graph"]
-    # Attach through the per-process cache (handle.attach would create a
-    # fresh mapping per task).
-    handle._shm, lshm = _attach_run(
-        (handle.shm_name, task["labels_name"]), track=task.get("track", True)
-    )
-    graph = CSRGraph.from_shared(handle)
-    start, end, shard = task["start"], task["end"], task["shard"]
+    shm = _attach(task["segment"], track=task.get("track", True))
+    start, end = task["start"], task["end"]
 
     tracer = Tracer() if task.get("trace") else None
     with tracer if tracer is not None else nullcontext():
-        labels, bu, bv = solve_shard_local(graph, start, end, backend=task["backend"])
-
-    out = np.ndarray(handle.num_vertices, dtype=np.int64, buffer=lshm.buf)
-    out[start:end] = labels
+        with current_tracer().span("shard:solve", category="shard", shard=task["shard"]):
+            data = np.ndarray(task["size"], dtype=np.int64, buffer=shm.buf)
+            solve_into(
+                data, data, task["layout"], start, end, backend=task["backend"],
+                sorted_adj=task["sorted_adj"], name=task["name"],
+            )
+            del data  # no view of the segment outlives the task
 
     return {
-        "shard": shard,
+        "shard": task["shard"],
         "pid": os.getpid(),
-        "bu": bu,
-        "bv": bv,
-        "vertices": end - start,
-        "boundary": int(bu.size),
         "spans": _serialize_spans(tracer.spans) if tracer is not None else [],
         "duration_ms": (time.perf_counter() - t0) * 1e3,
     }

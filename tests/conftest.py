@@ -1,6 +1,6 @@
 """Shared fixtures: small reference graphs with known components, plus
 an autouse guard that fails any test leaking a shared-memory segment or
-an out-of-core spill directory."""
+an out-of-core spill directory, and frees the cached shard exports."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 
 from repro.dist import active_host_scratch_dirs, live_network_threads
 from repro.graph.build import empty_graph, from_edges
-from repro.graph.csr import leaked_shared_segments
 from repro.outofcore import active_spill_dirs
+from repro.shard import export_segments, leaked_shared_segments, release_exports
 
 
 @pytest.fixture(autouse=True)
@@ -19,9 +19,13 @@ def _resource_leak_guard():
     directories, no simulated-host scratch directories, and no live
     SimNetwork host threads behind — leaks from one test poison later
     ones (and, in CI, the machine), so they fail loudly at the leaking
-    test."""
+    test.  A segment held by a live cached shard export is not a leak:
+    the exports are released after the check, so the next test starts
+    with none."""
     yield
-    leaked = leaked_shared_segments()
+    owned = set(export_segments())
+    leaked = [name for name in leaked_shared_segments() if name not in owned]
+    release_exports()
     assert leaked == [], f"test leaked shared-memory segments: {leaked}"
     spills = active_spill_dirs()
     assert spills == [], f"test leaked spill directories: {spills}"

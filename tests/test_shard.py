@@ -1,7 +1,7 @@
 """Tests for the sharded multi-process backend (``repro.shard``).
 
-Covers the partitioners, the shared-memory CSR transport (round-trip,
-pickling, leak guard), bit-identity of the partition-then-merge pipeline
+Covers the partitioners, the per-graph shard export (reuse across
+calls, release points, concurrent runs), bit-identity of the partition-then-merge pipeline
 against the serial oracle (inline and real process pools), metamorphic
 invariants (shard-count and vertex-permutation invariance), adversarial
 partitions (all edges crossing, empty shards, isolated-vertex shards),
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -31,17 +30,19 @@ from repro import connected_components
 from repro.errors import GraphValidationError
 from repro.generators import load
 from repro.graph.build import empty_graph, from_edges
-from repro.graph.csr import CSRGraph, SharedGraphHandle, leaked_shared_segments
 from repro.observe import Tracer
 from repro.resilience import FaultPlan, FaultSpec
 from repro.shard import (
     PARTITIONERS,
     ShardPlan,
     ShardedExecutor,
+    export_segments,
+    leaked_shared_segments,
     make_plan,
     merge_boundary,
     partition_degree,
     partition_range,
+    release_exports,
     sharded_cc,
     shutdown_pool,
     solve_shard_local,
@@ -121,46 +122,6 @@ class TestPartitioners:
 
     def test_registry(self):
         assert set(PARTITIONERS) == {"range", "degree"}
-
-
-# ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-class TestSharedMemory:
-    def test_round_trip_zero_copy(self):
-        g = load("rmat16.sym", "tiny")
-        with g.to_shared() as handle:
-            assert isinstance(handle, SharedGraphHandle)
-            assert handle.nbytes == (g.num_vertices + 1 + g.num_arcs) * 8
-            back = CSRGraph.from_shared(handle)
-            assert np.array_equal(back.row_ptr, g.row_ptr)
-            assert np.array_equal(back.col_idx, g.col_idx)
-            # Views over the segment, not copies.
-            assert back.row_ptr.base is not None
-
-    def test_handle_pickles_without_shm_object(self):
-        g = load("rmat16.sym", "tiny")
-        with g.to_shared() as handle:
-            clone = pickle.loads(pickle.dumps(handle))
-            assert clone.shm_name == handle.shm_name
-            assert clone._shm is None  # re-attaches by name, not by object
-            back = CSRGraph.from_shared(clone)
-            assert np.array_equal(back.col_idx, g.col_idx)
-            clone.close()
-
-    def test_empty_graph_round_trip(self):
-        g = empty_graph(4)
-        with g.to_shared() as handle:
-            back = CSRGraph.from_shared(handle)
-            assert back.num_vertices == 4 and back.num_arcs == 0
-
-    def test_unlink_idempotent_and_leak_registry(self):
-        g = load("rmat16.sym", "tiny")
-        handle = g.to_shared()
-        assert handle.shm_name in leaked_shared_segments()
-        handle.unlink()
-        assert handle.shm_name not in leaked_shared_segments()
-        handle.unlink()  # second unlink is a no-op, not an error
 
 
 # ----------------------------------------------------------------------
@@ -370,6 +331,9 @@ class TestProcessPool:
         )
         assert res.stats.mode == "processes"
         assert np.array_equal(res.labels, reference_labels(g))
+        # A one-shot call keeps the export; its segment is the only one.
+        assert leaked_shared_segments() == export_segments() != []
+        release_exports()
         assert leaked_shared_segments() == []
 
     def test_executor_reuse_is_stable(self):
@@ -387,32 +351,46 @@ class TestProcessPool:
 
     def test_spans_and_gauges(self):
         g = load("rmat16.sym", "tiny")
-        with Tracer() as t:
-            connected_components(
-                g, backend="sharded", workers=2, force_processes=True
-            )
+        traces = []
+        for _ in range(2):
+            with Tracer() as t:
+                res = connected_components(
+                    g, backend="sharded", workers=2, force_processes=True
+                )
+            traces.append((t, res.stats.export_reused))
+        (cold, cold_reused), (t, reused) = traces
+        assert (cold_reused, reused) == (False, True)
+        # The first call builds the export in the parent: one slice and
+        # one boundary pass per shard, under shard:export.
+        export = [s for s in cold.spans if s.name == "shard:export"]
+        assert [s.attrs["reused"] for s in export] == [False]
+        cold_names = [s.name for s in cold.spans if s.parent == export[0].index]
+        assert sorted(cold_names) == ["shard:boundary"] * 2 + ["shard:slice"] * 2
+
+        # The second call only hooks: no slice, boundary or export work.
         names = [s.name for s in t.spans]
         assert "shard:partition" in names
         assert names.count("shard:worker") == 2
         assert "shard:merge" in names
+        assert "shard:slice" not in names and "shard:boundary" not in names
+        export = [s for s in t.spans if s.name == "shard:export"]
+        assert [s.attrs["reused"] for s in export] == [True]
+        assert not [s for s in t.spans if s.parent == export[0].index]
         # Child-process spans are folded under the worker spans: the
-        # local solve plus the slice and boundary work around it.
+        # local solve and nothing around it.
         workers = [s for s in t.spans if s.name == "shard:worker"]
         for w in workers:
-            folded = [s.name for s in t.spans if s.parent == w.index]
-            assert folded[0] == "shard:slice"
-            assert folded[1].startswith("cc:")
-            assert folded[-1] == "shard:boundary"
-        boundary = [s for s in t.spans if s.name == "shard:boundary"]
-        assert sorted(s.attrs["boundary"] for s in boundary) == sorted(
-            w.attrs["boundary"] for w in workers
+            folded = [s for s in t.spans if s.parent == w.index]
+            assert [s.name for s in folded] == ["shard:solve"]
+            inner = [s.name for s in t.spans if s.parent == folded[0].index]
+            assert inner[0].startswith("cc:")
+        assert sorted(w.attrs["boundary"] for w in workers) == sorted(
+            res.stats.shard_boundary
         )
-        # The parent's shared-memory transport: export, copy-out, free.
+        # The parent's shared-memory transport: the label copy-out only.
         root = t.spans[0]
         transport = [s for s in t.spans if s.name == "shard:transport"]
-        assert [s.attrs["stage"] for s in transport] == [
-            "export", "collect", "release"
-        ]
+        assert [s.attrs["stage"] for s in transport] == ["collect"]
         assert all(s.parent == root.index for s in transport)
         gauge_names = {g_[1] for g_ in t.gauges}
         assert {"shard.vertices.0", "shard.arcs.1", "shard.boundary.0",
@@ -424,6 +402,88 @@ class TestProcessPool:
         names = [s.name for s in t.spans]
         assert names.count("shard:slice") == names.count("shard:boundary") == 2
         assert "shard:transport" not in names  # no segments inline
+
+    def test_export_shared_across_with_name_copies(self):
+        g = load("2d-2e20.sym", "tiny")
+        first = sharded_cc(g, workers=2, force_processes=True)
+        again = sharded_cc(g.with_name("copy"), workers=2, force_processes=True)
+        other_plan = sharded_cc(g, workers=3, force_processes=True)
+        assert (first.stats.export_reused, again.stats.export_reused) == (False, True)
+        assert other_plan.stats.export_reused is False
+        assert len(export_segments()) == 2
+        expected = reference_labels(g)
+        for res in (first, again, other_plan):
+            assert np.array_equal(res.labels, expected)
+
+    def test_dropping_the_graph_frees_its_segment(self):
+        rng = np.random.default_rng(3)
+        g = from_edges(rng.integers(0, 500, size=(2_000, 2)), num_vertices=500)
+        sharded_cc(g, workers=2, force_processes=True)
+        assert len(export_segments()) == 1
+        del g
+        assert export_segments() == leaked_shared_segments() == []
+
+    def test_graph_pickles_without_its_export(self):
+        import pickle
+
+        g = load("rmat16.sym", "tiny")
+        sharded_cc(g, workers=2, force_processes=True)
+        back = pickle.loads(pickle.dumps(g))
+        assert back._derived == {} and back.name == g.name
+        assert np.array_equal(back.col_idx, g.col_idx)
+        assert not back.col_idx.flags.writeable
+
+    def test_release_then_rerun_exports_again(self):
+        g = load("rmat16.sym", "tiny")
+        sharded_cc(g, workers=2, force_processes=True)
+        (name,) = export_segments()
+        shutdown_pool()  # a release point too
+        assert leaked_shared_segments() == []
+        res = sharded_cc(g, workers=2, force_processes=True)
+        assert res.stats.export_reused is False
+        assert export_segments() != [name]
+        assert np.array_equal(res.labels, reference_labels(g))
+
+    def test_concurrent_runs_on_one_graph(self):
+        # Three threads (more than this suite's CPUs) share one cached
+        # export, and one of them releases it between its runs: each run
+        # must hold the export (its label region and its segment) for
+        # its whole length.
+        import threading
+
+        g = load("rmat16.sym", "tiny")
+        expected = reference_labels(g)
+        sharded_cc(g, workers=2, force_processes=True)  # build the export
+        results, errors = [], []
+
+        def solve(release: bool):
+            try:
+                for _ in range(6):
+                    res = sharded_cc(g, workers=2, force_processes=True)
+                    results.append((res.labels, res.recovery))
+                    if release:
+                        release_exports()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=solve, args=(r,)) for r in (False, False, True)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 18
+        for labels, recovery in results:
+            assert np.array_equal(labels, expected)
+            assert recovery is None  # no worker ever found its segment gone
 
     def test_invalid_options(self, two_cliques):
         with pytest.raises(ValueError, match="shard_backend"):
@@ -486,7 +546,8 @@ class TestWorkerCrashRecovery:
 
     def test_no_leaked_segments_after_crashes(self):
         # Regression: a crashed worker must not leave /dev/shm segments
-        # behind — the executor owns them and frees on close.
+        # behind — the runs share the graph's one export, freed at its
+        # release point.
         g = load("rmat16.sym", "tiny")
         for _ in range(3):
             connected_components(
@@ -496,6 +557,8 @@ class TestWorkerCrashRecovery:
                 force_processes=True,
                 fault_plan=self.plan(attempt=-1),
             )
+        assert len(export_segments()) == 1
+        release_exports()
         assert leaked_shared_segments() == []
 
     def test_crash_counter_visible_in_trace(self):
