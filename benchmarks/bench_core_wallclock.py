@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.fastsv import fastsv_cc
 from repro.core.ecl_cc_numpy import ecl_cc_numpy
 from repro.core.ecl_cc_serial import ecl_cc_serial
 from repro.generators import load, rmat
@@ -47,11 +46,6 @@ def test_numpy_backend_road(benchmark, medium_road):
 
 def test_numpy_frontier_grid(benchmark, medium_grid):
     labels = benchmark(lambda: ecl_cc_numpy(medium_grid)[0])
-    assert np.all(labels == labels[0])
-
-
-def test_fastsv_road(benchmark, medium_road):
-    labels = benchmark(lambda: fastsv_cc(medium_road)[0])
     assert np.all(labels == labels[0])
 
 

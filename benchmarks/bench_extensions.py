@@ -1,20 +1,15 @@
-"""Beyond-paper benchmarks: Afforest and FastSV against ECL-CC.
+"""Beyond-paper benchmark: Afforest against ECL-CC.
 
-Afforest (2018) and FastSV (2020) are the closest successors to ECL-CC;
-this bench positions them on the same suite.  Afforest runs on the same
-simulated device as ECL-CC (modeled ms); FastSV and the numpy backend
-are native vectorized codes (wall ms) and are compared to each other.
+Afforest (2018) is the closest successor to ECL-CC; this bench positions
+it on the same suite, on the same simulated device as ECL-CC (modeled
+ms).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.baselines.fastsv import fastsv_cc
 from repro.core.ecl_cc_gpu import ecl_cc_gpu
-from repro.core.ecl_cc_numpy import ecl_cc_numpy
 from repro.verify import reference_labels
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import device_for, suite_graphs
@@ -52,35 +47,3 @@ def test_afforest_vs_ecl(benchmark, bench_scale, bench_names, bench_repeats):
     print()
     print(report.render())
 
-
-def test_fastsv_vs_numpy_backend(benchmark, bench_scale, bench_names, bench_repeats):
-    def sweep() -> ExperimentReport:
-        report = ExperimentReport(
-            "ext-fastsv",
-            "FastSV vs the ECL-style numpy backend (native wall ms)",
-            ["Graph name", "numpy backend", "FastSV", "FastSV/numpy", "FastSV iters"],
-        )
-        for g in suite_graphs(bench_scale, bench_names):
-            ref = reference_labels(g)
-            t0 = time.perf_counter()
-            labels_np, _ = ecl_cc_numpy(g)
-            t_np = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            labels_sv, stats = fastsv_cc(g)
-            t_sv = time.perf_counter() - t0
-            assert np.array_equal(labels_np, ref), g.name
-            assert np.array_equal(labels_sv, ref), g.name
-            report.add_row(
-                g.name,
-                round(t_np * 1e3, 3),
-                round(t_sv * 1e3, 3),
-                round(t_sv / max(t_np, 1e-9), 2),
-                stats.iterations,
-            )
-        return report
-
-    report = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    REPORT_DIR.mkdir(exist_ok=True)
-    (REPORT_DIR / f"ext_fastsv_{bench_scale}.txt").write_text(report.render() + "\n")
-    print()
-    print(report.render())

@@ -139,6 +139,8 @@ def _cmd_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.api import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="ECL-CC reproduction toolkit",
@@ -147,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cc", help="label connected components of a graph file")
     p.add_argument("graph", help=".gr / .mtx / .npz / edge-list file")
-    p.add_argument("--backend", default="numpy",
-                   choices=["serial", "numpy", "gpu", "omp", "fastsv", "afforest"])
+    p.add_argument("--backend", default="numpy", choices=sorted(BACKENDS))
     p.add_argument("--verify", action="store_true",
                    help="check the labeling against the scipy oracle")
     p.add_argument("--sizes", type=int, default=0, metavar="K",

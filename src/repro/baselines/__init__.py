@@ -1,6 +1,3 @@
-"""Reimplementations of the algorithms the paper compares against,
-plus post-paper comparison points (FastSV)."""
-
-from .fastsv import FastSVStats, fastsv_cc
-
-__all__ = ["FastSVStats", "fastsv_cc"]
+"""Reimplementations of the algorithms the paper compares against:
+GPU codes in :mod:`repro.baselines.gpu`, CPU codes in
+:mod:`repro.baselines.cpu`."""

@@ -14,8 +14,6 @@ a :class:`BackendSpec` (runner + option schema).  The built-in entries:
     execution model; returns modeled kernel timings via ``full_result``.
 ``"omp"``
     ECL-CC_OMP on the virtual-thread CPU executor.
-``"fastsv"``
-    FastSV (Zhang et al. 2020) — the post-paper vectorized alternative.
 ``"afforest"``
     Afforest (Sutton et al. 2018) on the simulated GPU.
 ``"contract"``
@@ -62,7 +60,6 @@ import numpy as np
 from ..errors import UnknownBackendError, UnknownOptionError
 from ..graph.csr import CSRGraph
 from ..observe import current_tracer
-from ..shard.worker import SHARD_BACKENDS
 from .result import CCResult
 
 __all__ = [
@@ -214,7 +211,7 @@ def connected_components(
         The input graph (use :mod:`repro.graph` builders to construct).
     backend:
         A name registered in :data:`BACKENDS` (built-ins: ``"serial"``,
-        ``"numpy"``, ``"gpu"``, ``"omp"``, ``"fastsv"``, ``"afforest"``,
+        ``"numpy"``, ``"gpu"``, ``"omp"``, ``"afforest"``,
         ``"contract"``, ``"sharded"``, ``"oocore"``, ``"distributed"``).
     full_result:
         The :class:`CCResult` (labels, stats, timings, trace, ...) is the
@@ -369,12 +366,6 @@ def _run_distributed(graph: CSRGraph, **options) -> CCResult:
     return dist_cc(graph, **options)
 
 
-def _run_fastsv(graph: CSRGraph, **options):
-    from ..baselines.fastsv import fastsv_cc  # deferred
-
-    return fastsv_cc(graph, **options)
-
-
 def _run_afforest(graph: CSRGraph, **options) -> CCResult:
     from ..extensions.afforest import afforest_cc  # deferred
 
@@ -471,10 +462,6 @@ register_backend(
             "explicit repro.shard.ShardPlan",
             ("range", "degree"),
         ),
-        "shard_backend": OptionSpec(
-            "backend run on each shard's induced subgraph",
-            SHARD_BACKENDS,
-        ),
         "min_parallel": OptionSpec(
             "arc count below which shards run inline (default 200_000)"
         ),
@@ -517,10 +504,6 @@ register_backend(
             "'range' (equal vertices) or 'degree' (equal arcs)",
             ("range", "degree"),
         ),
-        "shard_backend": OptionSpec(
-            "backend run on each streamed shard's induced subgraph",
-            SHARD_BACKENDS,
-        ),
         "fault_plan": OptionSpec(
             "repro.resilience FaultPlan; backend='oocore' specs arm "
             "spill_corrupt/spill_truncate/worker_crash/merge_crash"
@@ -544,10 +527,6 @@ register_backend(
         "partitioner": OptionSpec(
             "'range' (equal vertices) or 'degree' (equal arcs)",
             ("range", "degree"),
-        ),
-        "shard_backend": OptionSpec(
-            "backend each host runs on its shard's induced subgraph",
-            SHARD_BACKENDS,
         ),
         "fault_plan": OptionSpec(
             "repro.resilience FaultPlan; backend='dist' specs arm "
@@ -586,12 +565,6 @@ register_backend(
             "record the per-message trace (kind/link/fate) on the network"
         ),
     },
-)
-register_backend(
-    "fastsv",
-    _run_fastsv,
-    description="FastSV (Zhang et al. 2020), vectorized",
-    options={},
 )
 register_backend(
     "afforest",

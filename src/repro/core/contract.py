@@ -1,6 +1,6 @@
 """Recursive graph-contraction connected components (``backend="contract"``).
 
-The frontier backends (:mod:`repro.core.ecl_cc_numpy`, FastSV, Afforest)
+The frontier backends (:mod:`repro.core.ecl_cc_numpy`, Afforest)
 re-filter a shrinking *edge frontier* over a fixed vertex set.  This
 backend applies the complementary trick used by the diffHT/SPiT
 ``dpcc_recursive`` exemplars and by Sutton et al.'s adaptive CC: after

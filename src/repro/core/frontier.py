@@ -1,11 +1,11 @@
 """Frontier-shrinking primitives shared by the vectorized native backends.
 
-The bulk-synchronous backends (``ecl_cc_numpy``, ``baselines.fastsv``)
-originally re-evaluated **all m edges** every hook round and
-pointer-doubled **all n vertices** every flatten pass — exactly the
-work-inefficiency that frontier/worklist formulations (ECL-CC's
-double-sided worklist; *Adaptive Work-Efficient Connected Components on
-the GPU*) eliminate.  This module is the shared work-proportional engine:
+The bulk-synchronous backend (``ecl_cc_numpy``) originally re-evaluated
+**all m edges** every hook round and pointer-doubled **all n vertices**
+every flatten pass — exactly the work-inefficiency that
+frontier/worklist formulations (ECL-CC's double-sided worklist;
+*Adaptive Work-Efficient Connected Components on the GPU*) eliminate.
+This module is the shared work-proportional engine:
 
 * :func:`unique_pairs` — dedupe a hook frontier to unique representative
   pairs via one composite-key sort plus an adjacent-difference mask
@@ -230,7 +230,7 @@ def hook_until_fixpoint(
     that need labels finish with :func:`flatten_active`.
 
     Each round picks its regime from the live-pair count it measures
-    (never a caller option), like FastSV's wide/narrow switch:
+    (never a caller option):
 
     * **dense** — at least ``DENSE_PAIRS_PER_VERTEX * n`` live pairs:
       one unbuffered ``np.minimum.at`` scatter, then a whole-array

@@ -206,8 +206,8 @@ def flatten_forest(par: np.ndarray) -> int:
     """Resolve every vertex of an acyclic forest to its root, in place.
 
     Unlike :func:`flatten_decreasing` this makes no monotonicity
-    assumption, so it is safe for backends (FastSV-style hooking) whose
-    parents can point upward.  Returns the number of pointer rewrites
+    assumption, so it is safe for forests whose parents can point
+    upward.  Returns the number of pointer rewrites
     (0 means the forest was already flat).
     """
     if numba_active():

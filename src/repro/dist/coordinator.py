@@ -429,7 +429,6 @@ def dist_cc(
     graph: CSRGraph,
     *,
     hosts: int = 4,
-    shard_backend: str = "numpy",
     partitioner: str = "range",
     fault_plan: FaultPlan | None = None,
     rpc_timeout: float = 0.25,
@@ -458,7 +457,6 @@ def dist_cc(
     """
     cfg = DistConfig(
         hosts=hosts,
-        shard_backend=shard_backend,
         partitioner=partitioner,
         rpc_timeout=rpc_timeout,
         round_timeout=round_timeout,

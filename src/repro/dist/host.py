@@ -2,7 +2,7 @@
 
 Each :class:`HostRuntime` is one thread (named ``dist-host-<i>``) that
 owns a set of contiguous vertex-range shards.  It solves each shard
-locally with a registered single-process backend, then participates in
+locally with the ``numpy`` backend, then participates in
 coordinator-driven rounds of boundary-label exchange:
 
 * **outgoing** — for each peer shard its arcs cross into, send only the
@@ -53,9 +53,7 @@ class ShardState:
     every member at once; ``resolved()`` flattens the two layers.
     """
 
-    def __init__(
-        self, graph: CSRGraph, plan: ShardPlan, shard: int, backend: str
-    ) -> None:
+    def __init__(self, graph: CSRGraph, plan: ShardPlan, shard: int) -> None:
         self.shard = shard
         self.start, self.end = plan.range_of(shard)
         n = graph.num_vertices
@@ -66,7 +64,7 @@ class ShardState:
         rp = graph.row_ptr[self.start : self.end + 1]
         cols = graph.col_idx[int(rp[0]) : int(rp[-1])]
         name = f"{graph.name}[{self.start}:{self.end}]"
-        init, bu, bv = solve_slice_all_arcs(rp, cols, self.start, self.end, backend, name)
+        init, bu, bv = solve_slice_all_arcs(rp, cols, self.start, self.end, name)
         self.init = init  # local index -> component key (global id)
         self.cur = np.arange(self.start, self.end, dtype=np.int64)
 
@@ -457,7 +455,7 @@ class HostRuntime:
         return None
 
     def _adopt(self, shard: int, epoch: int, round_: int) -> None:
-        st = ShardState(self.graph, self.plan, shard, self.cfg.shard_backend)
+        st = ShardState(self.graph, self.plan, shard)
         restored = self._load_checkpoint(shard, epoch)
         if restored is not None:
             st.absorb(restored)

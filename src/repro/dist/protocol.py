@@ -42,7 +42,6 @@ class DistConfig:
     """
 
     hosts: int = 4
-    shard_backend: str = "numpy"
     partitioner: str = "range"
     rpc_timeout: float = 0.25
     round_timeout: float | None = None

@@ -178,7 +178,6 @@ class OocoreRunStats:
     respilled_shards: int = 0  # repaired from the source graph
     spill_dir: str = ""
     kept_spill: bool = False
-    shard_backend: str = "numpy"
     partitioner: str = "degree"
     shard_ms: list[float] = field(default_factory=list)
 
@@ -204,7 +203,6 @@ class OocoreRunStats:
             "respilled_shards": self.respilled_shards,
             "spill_dir": self.spill_dir,
             "kept_spill": self.kept_spill,
-            "shard_backend": self.shard_backend,
             "partitioner": self.partitioner,
             "ceiling": self.ceiling,
         }
@@ -451,7 +449,6 @@ def oocore_cc(
     shards: int | None = None,
     keep_spill: bool = False,
     partitioner: str = "degree",
-    shard_backend: str = "numpy",
     fault_plan=None,
     resume: bool = False,
     auto_resume: int = 0,
@@ -533,7 +530,6 @@ def oocore_cc(
                 memory_budget=memory_budget,
                 shards=shards,
                 partitioner=partitioner,
-                shard_backend=shard_backend,
                 fault_plan=fault_plan,
                 resume=resume or attempt > 0,
                 attempt=attempt,
@@ -587,7 +583,6 @@ def _oocore_run(
     memory_budget,
     shards,
     partitioner,
-    shard_backend,
     fault_plan,
     resume,
     attempt,
@@ -600,7 +595,6 @@ def _oocore_run(
     specs = fault_plan.for_backend("oocore", attempt) if fault_plan else []
     stats = OocoreRunStats(
         budget_bytes=memory_budget,
-        shard_backend=shard_backend,
         partitioner=partitioner,
         spill_dir=str(directory),
     )
@@ -689,7 +683,7 @@ def _oocore_run(
             with meter.charged(f"shard:{i}", charge):
                 rp, cols = spilled.shard_views(i, verify=False)
                 lab, bu, bv = solve_csr_slice(
-                    rp, cols, int(s), int(e), backend=shard_backend,
+                    rp, cols, int(s), int(e),
                     name=f"{spilled.name}[{s}:{e}]",
                 )
                 labels[s:e] = lab

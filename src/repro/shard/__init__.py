@@ -2,7 +2,7 @@
 
 Partition a CSR graph into K contiguous shards
 (:mod:`~repro.shard.partition`), solve each shard's induced subgraph
-with a registered backend — inline, or in real ``multiprocessing``
+with the ``numpy`` backend — inline, or in real ``multiprocessing``
 workers (:mod:`~repro.shard.worker`) — then merge cross-shard boundary
 arcs with a vectorized union-find pass (:mod:`~repro.shard.runner`).
 Labels are canonical min-member, bit-identical to the serial oracle.
@@ -36,11 +36,9 @@ or, freeing the export when the block ends::
 from .export import export_segments, leaked_shared_segments, release_exports
 from .partition import PARTITIONERS, ShardPlan, make_plan, partition_degree, partition_range
 from .runner import ShardedExecutor, ShardedRunStats, merge_boundary, sharded_cc, shutdown_pool
-from .worker import SHARD_BACKENDS, solve_shard_local
 
 __all__ = [
     "PARTITIONERS",
-    "SHARD_BACKENDS",
     "ShardPlan",
     "ShardedExecutor",
     "ShardedRunStats",
@@ -53,5 +51,4 @@ __all__ = [
     "release_exports",
     "sharded_cc",
     "shutdown_pool",
-    "solve_shard_local",
 ]

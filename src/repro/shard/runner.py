@@ -2,7 +2,7 @@
 
 The executor partitions a :class:`~repro.graph.csr.CSRGraph` into K
 contiguous shards (:mod:`repro.shard.partition`), solves each shard's
-induced subgraph with a registered backend, and merges the cross-shard
+induced subgraph with the ``numpy`` backend, and merges the cross-shard
 boundary arcs with a vectorized union-find pass built from the
 :mod:`repro.core.frontier` primitives.  The result is canonical
 min-member labels, bit-identical to the serial oracle: shard-local
@@ -55,7 +55,7 @@ from ..graph.csr import CSRGraph
 from ..observe import Span, current_tracer
 from .export import release_exports, shard_export
 from .partition import ShardPlan, make_plan
-from .worker import SHARD_BACKENDS, _exit_with_parent, shard_worker, solve_into
+from .worker import _exit_with_parent, shard_worker, solve_into
 
 __all__ = [
     "ShardedExecutor",
@@ -146,7 +146,6 @@ class ShardedRunStats:
     num_shards: int = 0
     workers: int = 0
     partitioner: str = "range"
-    shard_backend: str = "numpy"
     mode: str = "inline"  # "inline" | "processes"
     start_method: str = ""
     shard_vertices: list[int] = field(default_factory=list)
@@ -203,23 +202,16 @@ class ShardedExecutor:
         *,
         workers: int | None = None,
         partitioner: str | ShardPlan = "range",
-        shard_backend: str = "numpy",
         min_parallel: int = DEFAULT_MIN_PARALLEL,
         force_processes: bool = False,
         fault_plan=None,
         max_retries: int = 1,
         start_method: str | None = None,
     ) -> None:
-        if shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"invalid shard_backend {shard_backend!r}; "
-                f"choose from {SHARD_BACKENDS}"
-            )
         self.graph = graph
         self.workers = _default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.shard_backend = shard_backend
         self.fault_plan = fault_plan
         self.max_retries = int(max_retries)
         self.plan = make_plan(graph, self.workers, partitioner)
@@ -275,7 +267,6 @@ class ShardedExecutor:
             num_shards=plan.num_shards,
             workers=self.workers,
             partitioner=plan.kind,
-            shard_backend=self.shard_backend,
             mode="processes" if self.use_processes else "inline",
             start_method=self._start_method,
         )
@@ -345,7 +336,7 @@ class ShardedExecutor:
     def _solve_inline(self, out, data, export, shard: int) -> None:
         s, e = export.ranges[shard]
         solve_into(
-            out, data, export.layout[shard], s, e, backend=self.shard_backend,
+            out, data, export.layout[shard], s, e,
             sorted_adj=export.sorted_adj, name=f"{export.graph_name}[{s}:{e}]",
         )
 
@@ -395,7 +386,6 @@ class ShardedExecutor:
                 "start": s,
                 "end": e,
                 "shard": shard,
-                "backend": self.shard_backend,
                 "track": self._track,
                 "trace": trace,
                 "crash": self._armed_crash(shard, attempt),
@@ -536,7 +526,6 @@ def sharded_cc(
     *,
     workers: int | None = None,
     partitioner: str | ShardPlan = "range",
-    shard_backend: str = "numpy",
     min_parallel: int = DEFAULT_MIN_PARALLEL,
     force_processes: bool = False,
     fault_plan=None,
@@ -555,7 +544,6 @@ def sharded_cc(
         graph,
         workers=workers,
         partitioner=partitioner,
-        shard_backend=shard_backend,
         min_parallel=min_parallel,
         force_processes=force_processes,
         fault_plan=fault_plan,

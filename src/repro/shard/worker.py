@@ -3,10 +3,10 @@
 :func:`solve_into` is the per-shard computation of the ``sharded``
 backend: build the shard's local graph from its
 :class:`~repro.shard.export.ShardExport` arrays, seed the local graph's
-``edge_array()`` and sorted-adjacency memo from them, run a registered
-ECL-CC backend, and write the shard's global labels.  The inline mode,
-the process workers and the inline fallback of a failed shard all call
-it; none of them slices.
+``edge_array()`` and sorted-adjacency memo from them, solve it with
+the ``numpy`` backend, and write the shard's global labels.  The
+inline mode, the process workers and the inline fallback of a failed
+shard all call it; none of them slices.
 
 :func:`shard_worker` is the picklable process entry point the
 :class:`~repro.shard.runner.ShardedExecutor` submits to its pool.  It
@@ -16,8 +16,8 @@ segment's label region, and returns only spans recorded under the
 worker's own tracer (folded into the parent trace by the runner) and
 its timing.
 
-:func:`solve_shard_local`, :func:`solve_csr_slice` and
-:func:`solve_slice_all_arcs` slice and solve in one step, for callers
+:func:`solve_csr_slice` and :func:`solve_slice_all_arcs` slice and
+solve in one step, for callers
 that see a shard once: the out-of-core streamer feeds spilled shards
 to :func:`solve_csr_slice`, and the distributed hosts call
 :func:`solve_slice_all_arcs` for the cross arcs in both directions.
@@ -40,15 +40,8 @@ __all__ = [
     "shard_worker",
     "solve_csr_slice",
     "solve_into",
-    "solve_shard_local",
     "solve_slice_all_arcs",
 ]
-
-#: Backends a shard may run locally.  Deliberately excludes "sharded"
-#: (no recursive process trees) and the simulated-hardware backends,
-#: whose modeled clocks are meaningless inside a wall-clock shard.
-SHARD_BACKENDS = ("numpy", "contract", "serial", "fastsv")
-
 
 def solve_into(
     out: np.ndarray,
@@ -57,7 +50,6 @@ def solve_into(
     start: int,
     end: int,
     *,
-    backend: str,
     sorted_adj: bool,
     name: str,
 ) -> None:
@@ -81,14 +73,25 @@ def solve_into(
 
     from ..core.api import connected_components
 
-    labels = connected_components(local, backend=backend, full_result=False)
+    labels = connected_components(local, backend="numpy", full_result=False)
     np.add(labels, start, out=out[start:end])
 
 
-def solve_shard_local(
-    graph: CSRGraph, start: int, end: int, backend: str = "numpy"
+def solve_csr_slice(
+    rp: np.ndarray,
+    cols: np.ndarray,
+    start: int,
+    end: int,
+    name: str = "shard",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the subgraph induced by vertices ``[start, end)``.
+    """Solve the subgraph induced by vertices ``[start, end)`` of a CSR
+    given as two slices.
+
+    ``rp`` is the *global* ``row_ptr[start : end + 1]`` slice (offsets
+    unrebased) and ``cols`` the matching ``col_idx`` slice — exactly the
+    two arrays a spilled shard stores on disk, so the out-of-core
+    streamer (:mod:`repro.outofcore`) feeds ``np.memmap`` views here
+    without the full graph ever existing in memory.
 
     Returns ``(labels, boundary_u, boundary_v)``:
 
@@ -101,32 +104,7 @@ def solve_shard_local(
         edge is seen by both endpoint shards, so keeping the
         low-endpoint direction emits it exactly once globally.
     """
-    rp = graph.row_ptr[start : end + 1]
-    cols = graph.col_idx[int(rp[0]) : int(rp[-1])] if end > start else graph.col_idx[:0]
-    return solve_csr_slice(
-        rp, cols, start, end, backend=backend,
-        name=f"{graph.name}[{start}:{end}]",
-    )
-
-
-def solve_csr_slice(
-    rp: np.ndarray,
-    cols: np.ndarray,
-    start: int,
-    end: int,
-    backend: str = "numpy",
-    name: str = "shard",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`solve_shard_local` on bare arrays instead of a whole graph.
-
-    ``rp`` is the *global* ``row_ptr[start : end + 1]`` slice (offsets
-    unrebased) and ``cols`` the matching ``col_idx`` slice — exactly the
-    two arrays a spilled shard stores on disk, so the out-of-core
-    streamer (:mod:`repro.outofcore`) feeds ``np.memmap`` views here
-    without the full graph ever existing in memory.  Same return shape
-    as :func:`solve_shard_local`.
-    """
-    return _solve_slice(rp, cols, start, end, backend, name, low_half=True)
+    return _solve_slice(rp, cols, start, end, name, low_half=True)
 
 
 def solve_slice_all_arcs(
@@ -134,7 +112,6 @@ def solve_slice_all_arcs(
     cols: np.ndarray,
     start: int,
     end: int,
-    backend: str = "numpy",
     name: str = "shard",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`solve_csr_slice`, but keeping the cross arcs in *both*
@@ -142,10 +119,10 @@ def solve_slice_all_arcs(
     ``v`` outside it, in CSR order.  A distributed host needs that full
     frontier; the sharded merge stitches each edge once, from its low
     endpoint."""
-    return _solve_slice(rp, cols, start, end, backend, name, low_half=False)
+    return _solve_slice(rp, cols, start, end, name, low_half=False)
 
 
-def _solve_slice(rp, cols, start, end, backend, name, *, low_half):
+def _solve_slice(rp, cols, start, end, name, *, low_half):
     """Slice, solve, and return the cross arcs (only ``u < v`` if ``low_half``)."""
     if end <= start:
         empty = np.empty(0, dtype=np.int64)
@@ -156,7 +133,7 @@ def _solve_slice(rp, cols, start, end, backend, name, *, low_half):
     from ..core.api import connected_components
 
     local = CSRGraph(local_rp, local_cols, name=name)
-    labels = connected_components(local, backend=backend, full_result=False)
+    labels = connected_components(local, backend="numpy", full_result=False)
     labels = labels + start
 
     # Cross arcs stay in row order, so their sources are the shard's
@@ -237,7 +214,7 @@ def shard_worker(task: dict) -> dict:
     ``task`` keys: ``segment`` (the export's shared segment) and
     ``size`` (its length in ``int64``), ``layout``/``sorted_adj``/``name``
     (the shard's entries of the export), ``start``/``end``/``shard``,
-    ``backend``, ``track`` (resource-tracker policy: ``True`` for fork
+    ``track`` (resource-tracker policy: ``True`` for fork
     workers, ``False`` otherwise), ``trace`` (record spans), ``crash``
     (injected :class:`WorkerCrashError`, from the fault plan).
     """
@@ -256,7 +233,7 @@ def shard_worker(task: dict) -> dict:
         with current_tracer().span("shard:solve", category="shard", shard=task["shard"]):
             data = np.ndarray(task["size"], dtype=np.int64, buffer=shm.buf)
             solve_into(
-                data, data, task["layout"], start, end, backend=task["backend"],
+                data, data, task["layout"], start, end,
                 sorted_adj=task["sorted_adj"], name=task["name"],
             )
             del data  # no view of the segment outlives the task

@@ -12,7 +12,7 @@ from repro.errors import ReproError, UnknownBackendError, UnknownOptionError
 from repro.generators import load
 
 ALL_BACKENDS = (
-    "serial", "numpy", "gpu", "omp", "fastsv", "afforest", "contract", "sharded"
+    "serial", "numpy", "gpu", "omp", "afforest", "contract", "sharded"
 )
 
 
@@ -33,10 +33,12 @@ class TestRegistryCompleteness:
             assert init.choices == ("Init1", "Init2", "Init3")
 
     def test_unknown_backend_raises(self, path_graph):
-        with pytest.raises(ValueError, match="unknown backend"):
-            connected_components(path_graph, backend="quantum")
-        with pytest.raises(UnknownBackendError):
-            connected_components(path_graph, backend="quantum")
+        # A deleted built-in stays unknown.
+        for name in ("quantum", "fastsv"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                connected_components(path_graph, backend=name)
+            with pytest.raises(UnknownBackendError):
+                connected_components(path_graph, backend=name)
 
     def test_unknown_backend_message_lists_registered(self, path_graph):
         with pytest.raises(UnknownBackendError) as exc_info:
@@ -114,6 +116,13 @@ class TestOptionValidation:
     def test_typo_raises_unknown_option(self, path_graph):
         with pytest.raises(UnknownOptionError, match="jmp"):
             connected_components(path_graph, backend="gpu", jmp="halving")
+        # Every scale-out backend solves its pieces with numpy; there is
+        # no per-shard backend to choose.
+        for backend in ("sharded", "oocore", "distributed"):
+            with pytest.raises(UnknownOptionError, match="shard_backend"):
+                connected_components(
+                    path_graph, backend=backend, shard_backend="numpy"
+                )
 
     def test_message_lists_valid_keys(self, path_graph):
         with pytest.raises(UnknownOptionError, match="valid options.*jump"):
@@ -135,9 +144,13 @@ class TestOptionValidation:
         )
         assert np.array_equal(labels, reference_labels(two_cliques))
 
-    def test_fastsv_accepts_no_options(self, path_graph):
-        with pytest.raises(UnknownOptionError):
-            connected_components(path_graph, backend="fastsv", init="Init3")
+    def test_optionless_backend_rejects_any_option(self, path_graph):
+        register_backend("no-opt-test", lambda g: reference_labels(g))
+        try:
+            with pytest.raises(UnknownOptionError, match=r"valid options: \(none\)"):
+                connected_components(path_graph, backend="no-opt-test", init="Init3")
+        finally:
+            unregister_backend("no-opt-test")
 
 
 class TestRegisterBackend:
@@ -189,13 +202,15 @@ class TestRegisterBackend:
             register_backend("numpy", self._scipy_runner)
 
     def test_overwrite_allowed_explicitly(self, path_graph):
-        original = BACKENDS["fastsv"]
-        register_backend("fastsv", self._scipy_runner, overwrite=True)
+        register_backend(
+            "overwrite-test", lambda g: np.zeros(g.num_vertices, np.int64)
+        )
         try:
-            labels = connected_components(path_graph, backend="fastsv")
+            register_backend("overwrite-test", self._scipy_runner, overwrite=True)
+            labels = connected_components(path_graph, backend="overwrite-test")
             assert np.array_equal(labels, reference_labels(path_graph))
         finally:
-            BACKENDS["fastsv"] = original
+            unregister_backend("overwrite-test")
 
 
 class TestCountComponents:

@@ -34,6 +34,19 @@ class TestCliCC:
     def test_backends(self, graph_file, backend):
         assert main(["cc", str(graph_file), "--backend", backend]) == 0
 
+    def test_backend_choices_come_from_registry(self, graph_file, capsys):
+        assert main(["cc", str(graph_file), "--backend", "numpy"]) == 0
+        numpy_line = capsys.readouterr().out
+        assert main(["cc", str(graph_file), "--backend", "contract"]) == 0
+        assert capsys.readouterr().out == numpy_line
+        assert "components=2" in numpy_line
+
+    def test_unregistered_backend_is_argparse_error(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cc", str(graph_file), "--backend", "no_such_backend"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_sizes_and_output(self, graph_file, tmp_path, capsys):
         out_path = tmp_path / "labels.npy"
         assert main(["cc", str(graph_file), "--sizes", "2",

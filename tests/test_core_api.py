@@ -9,7 +9,7 @@ from repro.generators import load
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["serial", "numpy", "gpu", "omp", "fastsv", "afforest"])
+    @pytest.mark.parametrize("backend", ["serial", "numpy", "gpu", "omp", "afforest"])
     def test_all_backends_agree(self, backend, triangle_plus_edge):
         labels = connected_components(triangle_plus_edge, backend=backend)
         assert np.array_equal(labels, reference_labels(triangle_plus_edge))
@@ -36,11 +36,6 @@ class TestBackends:
     def test_full_result_omp(self, path_graph):
         res = connected_components(path_graph, backend="omp", full_result=True)
         assert res.modeled_time_s > 0
-
-    def test_fastsv_full_result(self, path_graph):
-        res = connected_components(path_graph, backend="fastsv", full_result=True)
-        assert res.stats.iterations >= 1
-        assert np.array_equal(res.labels, reference_labels(path_graph))
 
     def test_afforest_full_result(self, path_graph):
         res = connected_components(path_graph, backend="afforest", full_result=True)

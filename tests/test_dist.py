@@ -61,12 +61,6 @@ class TestCorrectness:
         res = dist_cc(g, hosts=3, partitioner=partitioner, **FAST)
         np.testing.assert_array_equal(res.labels, _serial(g))
 
-    @pytest.mark.parametrize("backend", ["numpy", "fastsv"])
-    def test_shard_backends(self, backend):
-        g = load("rmat16.sym", "tiny")
-        res = dist_cc(g, hosts=3, shard_backend=backend, **FAST)
-        np.testing.assert_array_equal(res.labels, _serial(g))
-
     def test_empty_graph(self):
         g = empty_graph(5)
         res = dist_cc(g, hosts=3, **FAST)

@@ -1,15 +1,13 @@
-"""Tests for the post-paper algorithms: FastSV and Afforest."""
+"""Tests for the post-paper Afforest algorithm."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.fastsv import fastsv_cc
 from repro.verify import reference_labels
 from repro.extensions import afforest_cc
 from repro.generators import load, load_suite
-from repro.generators.roads import long_path
 from repro.graph.build import empty_graph, from_edges
 
 
@@ -23,38 +21,6 @@ def graphs(draw, max_n=30, max_m=80):
         )
     )
     return from_edges(edges, num_vertices=n)
-
-
-class TestFastSV:
-    def test_known_graph(self, triangle_plus_edge):
-        labels, _ = fastsv_cc(triangle_plus_edge)
-        assert labels.tolist() == [0, 0, 0, 3, 3, 5]
-
-    def test_empty(self):
-        labels, stats = fastsv_cc(empty_graph(0))
-        assert labels.size == 0
-        assert stats.iterations == 0
-
-    def test_isolated(self, isolated_graph):
-        labels, _ = fastsv_cc(isolated_graph)
-        assert labels.tolist() == [0, 1, 2, 3, 4]
-
-    def test_long_path_converges_fast(self):
-        labels, stats = fastsv_cc(long_path(512))
-        assert np.all(labels == 0)
-        # FastSV converges in O(log n) rounds even on paths.
-        assert stats.iterations <= 16
-
-    def test_small_suite(self):
-        for g in load_suite("small", names=["rmat16.sym", "europe_osm", "uk-2002"]):
-            labels, _ = fastsv_cc(g)
-            assert np.array_equal(labels, reference_labels(g)), g.name
-
-    @given(graphs())
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_matches_reference(self, g):
-        labels, _ = fastsv_cc(g)
-        assert np.array_equal(labels, reference_labels(g))
 
 
 class TestAfforest:

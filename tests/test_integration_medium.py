@@ -3,7 +3,7 @@ inputs, end-to-end through the public API.
 
 The simulated GPU is exercised at tiny/small scale elsewhere (it is a
 per-op interpreter); these tests cover the code paths a library user
-runs on real-sized data: vectorized backend, serial backend, FastSV,
+runs on real-sized data: vectorized backend, serial backend,
 incremental updates, subgraph extraction and round-trip I/O.
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import connected_components, count_components
-from repro.baselines.fastsv import fastsv_cc
 from repro.verify import reference_labels, verify_labels_structural
 from repro.extensions import IncrementalConnectivity, kruskal_msf
 from repro.generators import load
@@ -38,11 +37,6 @@ class TestNumpyBackendMedium:
     def test_structural_verifier_scales(self, medium_graph):
         labels = connected_components(medium_graph)
         assert verify_labels_structural(medium_graph, labels)
-
-    def test_fastsv_agrees(self, medium_graph):
-        labels_np = connected_components(medium_graph)
-        labels_sv, _ = fastsv_cc(medium_graph)
-        assert np.array_equal(labels_np, labels_sv)
 
 
 class TestSerialBackendMedium:

@@ -97,7 +97,7 @@ class TestNumpyTier:
                 assert np.array_equal(kernels.flatten_decreasing(par), ref)
 
     def test_flatten_forest_handles_upward_parents(self):
-        # FastSV-style forests may point upward; still acyclic.
+        # Forests may point upward; still acyclic.
         par = np.array([3, 0, 1, 3, 2], dtype=np.int64)
         changed = kernels.flatten_forest(par)
         assert changed > 0

@@ -167,13 +167,6 @@ class TestBackendInstrumentation:
         assert hook_span.attrs["hook_rounds"] == res.stats.hook_rounds
         assert hook_span.attrs["doubling_passes"] == res.stats.doubling_passes
 
-    def test_fastsv_iteration_counter(self, path_graph):
-        with Tracer() as t:
-            res = connected_components(path_graph, backend="fastsv", full_result=True)
-        assert t.counters["fastsv.iterations"] == res.stats.iterations
-        (sp,) = t.find_spans(name="fastsv:converge")
-        assert sp.attrs["iterations"] == res.stats.iterations
-
     def test_afforest_giant_span(self):
         from repro.generators import load
 

@@ -85,14 +85,6 @@ def test_oocore_registry_rejects_unknown_option():
         connected_components(_graph(), backend="oocore", bogus=1)
 
 
-@pytest.mark.parametrize("shard_backend", ["numpy", "serial", "fastsv"])
-def test_oocore_shard_backends(shard_backend):
-    g = _graph()
-    labels, stats, _ = oocore_cc(g, shards=3, shard_backend=shard_backend)
-    assert np.array_equal(labels, _serial(g))
-    assert stats.shard_backend == shard_backend
-
-
 def test_oocore_from_spilled_graph(tmp_path):
     g = _graph()
     sp = g.spill(tmp_path, 4)

@@ -148,28 +148,18 @@ def _adversarial_graphs():
 
 
 def test_frontier_backends_match_serial_on_adversarial_graphs():
-    from repro.baselines.fastsv import fastsv_cc
+    from repro.core.contract import contract_cc
     from repro.extensions.afforest import afforest_cc
 
     for g in _adversarial_graphs():
         expected, _ = ecl_cc_serial(g)
         for name, got in (
             ("numpy", ecl_cc_numpy(g)[0]),
-            ("fastsv", fastsv_cc(g)[0]),
+            ("contract", contract_cc(g, base_cutoff=0)[0]),
             ("afforest", afforest_cc(g).labels),
         ):
             assert np.array_equal(got, expected), (g.name, name)
             assert got.dtype == expected.dtype
-
-
-@given(graphs())
-@SLOW
-def test_fastsv_matches_serial(g):
-    from repro.baselines.fastsv import fastsv_cc
-
-    a, _ = fastsv_cc(g)
-    b, _ = ecl_cc_serial(g)
-    assert np.array_equal(a, b)
 
 
 @given(graphs(max_n=20, max_m=40), st.integers(min_value=0, max_value=2))
@@ -185,19 +175,12 @@ def test_afforest_matches_serial(g, seed):
 @given(graphs())
 @SLOW
 def test_frontier_sizes_are_monotone_non_increasing(g):
-    from repro.baselines.fastsv import fastsv_cc
-
     _, numpy_stats = ecl_cc_numpy(g)
     sizes = numpy_stats.frontier_sizes
     # Each round's frontier is a deduplicated subset of the survivors of
     # the previous one, so the curve can only shrink.
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     assert all(s > 0 for s in sizes)
-    # FastSV's wide-regime live counts are not provably monotone (pair
-    # *values* can transiently re-diverge inside one tree), but every
-    # recorded round must still be non-empty.
-    _, fastsv_stats = fastsv_cc(g)
-    assert all(s > 0 for s in fastsv_stats.frontier_sizes)
 
 
 @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))

@@ -45,9 +45,9 @@ from repro.shard import (
     release_exports,
     sharded_cc,
     shutdown_pool,
-    solve_shard_local,
 )
 from repro.shard import runner
+from repro.shard.worker import solve_csr_slice, solve_slice_all_arcs
 from repro.verify import reference_labels
 from repro.verify.metamorphic import permute_vertices
 
@@ -128,9 +128,15 @@ class TestPartitioners:
 # Local shard solve + boundary merge building blocks
 # ----------------------------------------------------------------------
 class TestLocalSolve:
+    @staticmethod
+    def _slices(g, start, end):
+        rp = g.row_ptr[start : end + 1]
+        return rp, g.col_idx[int(rp[0]) : int(rp[-1])]
+
     def test_whole_graph_as_one_shard(self):
         g = load("2d-2e20.sym", "tiny")
-        labels, bu, bv = solve_shard_local(g, 0, g.num_vertices)
+        n = g.num_vertices
+        labels, bu, bv = solve_csr_slice(*self._slices(g, 0, n), 0, n)
         assert np.array_equal(labels, reference_labels(g))
         assert bu.size == 0 and bv.size == 0
 
@@ -138,8 +144,8 @@ class TestLocalSolve:
         # Path 0-1-2-3 split at 2: the crossing edge (1,2) must appear
         # exactly once across the two shards (owned by min endpoint).
         g = from_edges(np.array([(0, 1), (1, 2), (2, 3)]))
-        _, bu0, bv0 = solve_shard_local(g, 0, 2)
-        _, bu1, bv1 = solve_shard_local(g, 2, 4)
+        _, bu0, bv0 = solve_csr_slice(*self._slices(g, 0, 2), 0, 2)
+        _, bu1, bv1 = solve_csr_slice(*self._slices(g, 2, 4), 2, 4)
         pairs = list(zip(bu0.tolist(), bv0.tolist())) + list(
             zip(bu1.tolist(), bv1.tolist())
         )
@@ -147,7 +153,7 @@ class TestLocalSolve:
 
     def test_empty_shard(self):
         g = load("rmat16.sym", "tiny")
-        labels, bu, bv = solve_shard_local(g, 5, 5)
+        labels, bu, bv = solve_csr_slice(*self._slices(g, 5, 5), 5, 5)
         assert labels.size == 0 and bu.size == 0 and bv.size == 0
 
     @staticmethod
@@ -166,8 +172,6 @@ class TestLocalSolve:
     )
     @settings(max_examples=150, deadline=None)
     def test_cross_arcs_match_searchsorted_formula(self, n, edges, cut):
-        from repro.shard.worker import solve_csr_slice, solve_slice_all_arcs
-
         # Vertices past the last edge endpoint give empty rows.
         g = from_edges([(u, v) for u, v in edges if u < n and v < n], num_vertices=n)
         start, end = sorted(min(c, n) for c in cut)
@@ -267,14 +271,6 @@ class TestBitIdentity:
                 np.sort(np.unique(base, return_counts=True)[1]),
                 np.sort(np.unique(permuted, return_counts=True)[1]),
             )
-
-    @pytest.mark.parametrize("backend", ["numpy", "contract", "serial", "fastsv"])
-    def test_all_shard_backends_agree(self, backend):
-        g = load("rmat16.sym", "tiny")
-        res = connected_components(
-            g, backend="sharded", workers=3, shard_backend=backend
-        )
-        assert np.array_equal(res.labels, reference_labels(g))
 
     def test_empty_and_single_vertex(self):
         assert sharded_cc(empty_graph(0), workers=2).labels.size == 0
@@ -486,8 +482,6 @@ class TestProcessPool:
             assert recovery is None  # no worker ever found its segment gone
 
     def test_invalid_options(self, two_cliques):
-        with pytest.raises(ValueError, match="shard_backend"):
-            sharded_cc(two_cliques, shard_backend="gpu")
         with pytest.raises(ValueError, match="workers"):
             sharded_cc(two_cliques, workers=0)
 

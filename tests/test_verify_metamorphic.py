@@ -1,4 +1,4 @@
-"""Metamorphic regression pins: frontier, FastSV, Afforest, the
+"""Metamorphic regression pins: frontier, contraction, Afforest, the
 out-of-core streamer, and the distributed merge must satisfy the
 solver-independent invariants."""
 
@@ -15,8 +15,11 @@ from repro.verify.metamorphic import (
     shuffle_adjacency,
 )
 
-FAST_BACKENDS = ("numpy", "fastsv")
+FAST_BACKENDS = ("numpy", "contract")
 SIM_BACKENDS = ("afforest",)
+#: base_cutoff=0 makes contract run real contraction levels on graphs
+#: this small instead of falling through to the numpy solve.
+OPTIONS = {"contract": {"base_cutoff": 0}}
 
 
 def _graphs():
@@ -29,7 +32,10 @@ def _graphs():
 
 
 def _runner(backend):
-    return lambda g: connected_components(g, backend=backend, full_result=False)
+    options = OPTIONS.get(backend, {})
+    return lambda g: connected_components(
+        g, backend=backend, full_result=False, **options
+    )
 
 
 @pytest.mark.parametrize("backend", FAST_BACKENDS)

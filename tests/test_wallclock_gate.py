@@ -541,17 +541,19 @@ class TestFrontierTraceVisibility:
         }
         assert "numpy:hook-rounds" in span_names
 
-    def test_fastsv_gauge_reaches_chrome_trace(self):
-        from repro.baselines.fastsv import fastsv_cc
+    def test_numpy_gauge_trajectory_reaches_chrome_trace(self):
+        from repro import connected_components
 
         g = load("rmat16.sym", "tiny")
         tracer = Tracer()
         with use_tracer(tracer):
-            fastsv_cc(g)
+            res = connected_components(g, backend="numpy", init="Init1")
         trace = to_chrome_trace(tracer)
-        names = {
-            e["name"]
+        samples = [
+            e["args"]["numpy.frontier_edges"]
             for e in trace["traceEvents"]
-            if e.get("ph") == "C"
-        }
-        assert "fastsv.frontier_pairs" in names
+            if e.get("ph") == "C" and e["name"] == "numpy.frontier_edges"
+        ]
+        # One sample per hook round, then the converged zero.
+        assert samples == [float(s) for s in res.stats.frontier_sizes] + [0.0]
+        assert len(samples) >= 2
