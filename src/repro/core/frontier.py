@@ -192,11 +192,14 @@ def flatten_active(parent: np.ndarray, stats=None) -> np.ndarray:
 #: dense regime.  Set from the ``perfbench`` graph families (first-round
 #: live pairs as a multiple of n, before dedup):
 #:
-#: * static ``numpy`` solves, from the flattened Init3 forest: grid
-#:   0.10n, road 0.02n and road-sparse 0.01n run sparse throughout;
-#:   Delaunay 1.38n, community 2.8n, RMAT 7.2n and Kronecker 10.8n run
-#:   their first round dense and the rest sparse; dense-PA has no live
-#:   pair left after Init3.
+#: * static ``numpy`` solves, from the flattened Init3 forest (the
+#:   sample step's strided estimate in brackets): grid 0.10n (0.09n),
+#:   road 0.02n (0.02n) and road-sparse 0.01n (0.01n) stay under the
+#:   cutoff and hook sparse throughout; dense-PA has no live pair left
+#:   (0.00n).  Delaunay 1.38n (1.31n), community 2.8n (2.78n), RMAT 7.2n
+#:   (7.23n) and Kronecker 10.8n (11.1n) reach it, so ``ecl_cc_numpy``
+#:   first hooks a neighbour sample; the hook loop then runs one sparse
+#:   round of 29-239 distinct pairs.
 #: * seeding from the identity forest (``IncrementalConnectivity``, the
 #:   service's start-up): every batch starts at m/n live pairs —
 #:   road-sparse 1.05n, road 1.35n, grid 1.96n, Delaunay 3.0n, up to
@@ -213,7 +216,7 @@ DENSE_PAIRS_PER_VERTEX = 1
 
 
 def hook_until_fixpoint(
-    parent: np.ndarray, u: np.ndarray, v: np.ndarray, *, stats=None
+    parent: np.ndarray, u: np.ndarray, v: np.ndarray, *, flat: bool = False, stats=None
 ) -> int:
     """Hook the edges ``(u, v)`` into the decreasing forest ``parent``
     until no edge spans two roots; returns the number of hooks made.
@@ -222,12 +225,14 @@ def hook_until_fixpoint(
     with ``parent[x] <= x``); the batch may hold duplicates and
     self-loops.  The batch's endpoints are resolved to their roots (by
     doubling over the endpoints alone, or by one whole-array flatten
-    once they number at least n), then two steps repeat until every
-    pair is inside one tree: hook each larger root under its smallest
-    contender (a valid serialization of ECL-CC's CAS races, see
-    :func:`segment_min_hook`), then re-resolve the pairs.  On return every endpoint points directly at its root;
-    other vertices may still point at interior vertices, so callers
-    that need labels finish with :func:`flatten_active`.
+    once they number at least n; ``flat=True`` says every vertex
+    already points at its root and skips this), then two steps repeat
+    until every pair is inside one tree: hook each larger root under
+    its smallest contender (a valid serialization of ECL-CC's CAS
+    races, see :func:`segment_min_hook`), then re-resolve the pairs.
+    On return every endpoint points directly at its root; other
+    vertices may still point at interior vertices, so callers that need
+    labels finish with :func:`flatten_active`.
 
     Each round picks its regime from the live-pair count it measures
     (never a caller option):
@@ -251,9 +256,9 @@ def hook_until_fixpoint(
     if u.size == 0:
         return 0
     cutoff = DENSE_PAIRS_PER_VERTEX * n
-    if 2 * u.size >= n:
+    if not flat and 2 * u.size >= n:
         flatten_active(parent, stats)
-    else:
+    elif not flat:
         flatten_subset(parent, np.concatenate((u, v)), stats)
     ru = parent[u]
     rv = parent[v]
@@ -261,12 +266,15 @@ def hook_until_fixpoint(
         stats.edges_scanned += int(u.size)
     hooks = 0
     while True:
-        alive = ru != rv
-        live = int(np.count_nonzero(alive))
+        # Index takes, not boolean masks: a first round's scattered
+        # survivors compact faster this way.
+        alive = np.flatnonzero(ru != rv)
+        live = int(alive.size)
         if live == 0:
             return hooks
-        ru = ru[alive]
-        rv = rv[alive]
+        if live < ru.size:
+            ru = ru[alive]
+            rv = rv[alive]
         hi = np.maximum(ru, rv)
         lo = np.minimum(ru, rv)
         if live >= cutoff:

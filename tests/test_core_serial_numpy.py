@@ -5,10 +5,12 @@ import pytest
 
 from repro.core.ecl_cc_numpy import ecl_cc_numpy
 from repro.core.ecl_cc_serial import ecl_cc_serial
+from repro.core.frontier import flatten_active, hook_until_fixpoint
 from repro.core.variants import INIT_VARIANTS, finalize, init_vectorized
 from repro.verify import reference_labels
-from repro.generators import load_suite
+from repro.generators import grid2d, load_suite, random_gnm
 from repro.graph.build import empty_graph, from_edges
+from repro.graph.csr import CSRGraph
 from repro.unionfind.variants import FIND_VARIANTS
 
 ALL_JUMPS = tuple(FIND_VARIANTS)
@@ -108,6 +110,106 @@ class TestNumpyBackend:
             a, _ = ecl_cc_numpy(g)
             b, _ = ecl_cc_serial(g)
             assert np.array_equal(a, b)
+
+
+def _csr_from_arcs(src, dst, n):
+    """A CSR holding exactly the given arcs, rows sorted; no symmetrizing."""
+    order = np.lexsort((dst, src))
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    row_ptr[1:] = np.cumsum(np.bincount(src, minlength=n))
+    return CSRGraph(row_ptr, np.asarray(dst)[order])
+
+
+def _dense(n, m, seed, offset=0):
+    """Edges of a random dense graph on ids ``offset .. offset + n - 1``.
+
+    Init3 collapses a clique into one tree whatever its ids, so a dense
+    graph with random ids is what leaves the first round dense.
+    """
+    u, v = random_gnm(n, m, seed=seed).edge_array()
+    return np.stack((u, v), axis=1) + offset
+
+
+class TestNumpySampleStep:
+    """The sample step between Init3 and the hook loop."""
+
+    def _solve(self, g):
+        labels, stats = ecl_cc_numpy(g)
+        assert np.array_equal(labels, ecl_cc_serial(g)[0])
+        return labels, stats
+
+    def test_dense_graph_samples_and_the_loop_starts_sparse(self):
+        g = from_edges(_dense(300, 2400, seed=1))
+        _, stats = self._solve(g)
+        assert stats.estimated_live_pairs >= g.num_vertices
+        assert stats.sampled
+        # The sample left too few live pairs for a dense round (here it
+        # left none).
+        assert max(stats.frontier_sizes, default=0) < g.num_vertices
+
+    @pytest.mark.parametrize("g", [from_edges([(i, i + 1) for i in range(40)]), grid2d(20, 20)])
+    def test_path_and_grid_take_the_hook_loop(self, g):
+        _, stats = self._solve(g)
+        assert stats.estimated_live_pairs < g.num_vertices
+        assert not stats.sampled
+
+    def test_giant_without_vertex_zero(self):
+        small = [(0, 1), (1, 2), (2, 3)]
+        g = from_edges(np.concatenate((small, _dense(300, 2400, seed=2, offset=4))))
+        labels, stats = self._solve(g)
+        assert stats.sampled
+        assert labels[:4].tolist() == [0] * 4
+        assert (labels[4:] == 4).all()
+
+    def test_vertex_zero_reaches_the_giant_through_the_loop(self):
+        # The giant grows from 1..300.  Init3 and the sample join 0 and
+        # 301 into a tree of their own (301's neighbours 0 and 150 are
+        # both smaller, and 150's last entry is 302), so only the hook
+        # loop's edge (150, 301) joins 0 to it.
+        bridge = [(0, 301), (150, 301), (150, 302)]
+        g = from_edges(np.concatenate((_dense(300, 2400, seed=7, offset=1), bridge)))
+        labels, stats = self._solve(g)
+        assert stats.sampled
+        assert not labels.any()
+
+    def test_degree_zero_and_one_vertices(self):
+        dense = _dense(200, 1600, seed=3)
+        pendants = [(7, 200), (150, 201), (201, 202)]  # 203, 204 stay isolated
+        g = from_edges(np.concatenate((dense, pendants)), num_vertices=205)
+        labels, stats = self._solve(g)
+        assert stats.sampled
+        assert labels[200:].tolist() == [0, 0, 0, 203, 204]
+
+    def test_unsorted_adjacency(self):
+        g = from_edges(_dense(300, 2400, seed=4))
+        rng = np.random.default_rng(0)
+        cols = g.col_idx.copy()
+        for a, b in zip(g.row_ptr[:-1], g.row_ptr[1:]):
+            rng.shuffle(cols[a:b])
+        shuffled = CSRGraph(g.row_ptr, cols)
+        assert not shuffled.has_sorted_adjacency()
+        _, stats = self._solve(shuffled)
+        assert stats.sampled
+
+    def test_asymmetric_csr_matches_the_hook_loop(self):
+        # Two dense components, 0..199 and 200..299, plus arcs stored in
+        # one direction only: 300 -> 5 (Init3's first neighbour),
+        # 300 -> 250 (a last neighbour no edge_array() pair backs) and
+        # 7 -> 301 (in 7's row only; 301's row is empty).  The labels
+        # must be those of Init3 plus the hook loop over every
+        # edge_array() pair.
+        sym = np.concatenate((_dense(200, 1600, seed=5), _dense(100, 800, seed=6, offset=200)))
+        src = np.concatenate((sym[:, 0], sym[:, 1], [300, 300, 7]))
+        dst = np.concatenate((sym[:, 1], sym[:, 0], [5, 250, 301]))
+        g = _csr_from_arcs(src, dst, 302)
+        labels, stats = ecl_cc_numpy(g)
+        expected = init_vectorized(g)
+        hook_until_fixpoint(expected, *g.edge_array())
+        flatten_active(expected)
+        assert stats.sampled
+        assert np.array_equal(labels, expected)
+        assert labels[[300, 301]].tolist() == [0, 0]
+        assert (labels[200:300] == 200).all()
 
 
 class TestInitVectorized:

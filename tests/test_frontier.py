@@ -269,6 +269,22 @@ class TestHookUntilFixpoint:
         else:
             assert stats.frontier_sizes[0] == len(distinct)
 
+    @given(forest_and_batch())
+    @settings(max_examples=100, deadline=None)
+    def test_flat_forest_may_skip_the_opening_flatten(self, case):
+        parent, u, v = case
+        flat = _flatten_reference(parent)
+        expected = flat.copy()
+        hook_until_fixpoint(expected, u, v)
+        got = flat.copy()
+        stats = NumpyRunStats()
+        hooks = hook_until_fixpoint(got, u, v, flat=True, stats=stats)
+        assert hooks == np.count_nonzero(flat == np.arange(flat.size)) - np.count_nonzero(
+            got == np.arange(got.size)
+        )
+        assert np.array_equal(_flatten_reference(got), _flatten_reference(expected))
+        assert stats.edges_scanned == u.size + sum(stats.frontier_sizes)
+
     def test_empty_batch_is_a_noop(self):
         parent = np.array([0, 0, 1, 3, 3, 4], dtype=np.int64)
         before = parent.copy()

@@ -167,6 +167,21 @@ class TestBackendInstrumentation:
         assert hook_span.attrs["hook_rounds"] == res.stats.hook_rounds
         assert hook_span.attrs["doubling_passes"] == res.stats.doubling_passes
 
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_numpy_sample_span(self, path_graph, dense):
+        from repro.generators import random_gnm
+
+        g = random_gnm(300, 2400, seed=1) if dense else path_graph
+        with Tracer() as t:
+            res = connected_components(g, backend="numpy", full_result=True)
+        (root,) = t.roots()
+        (sp,) = t.find_spans(name="numpy:sample")
+        assert root.name == "cc:numpy" and sp.parent == root.index
+        assert res.stats.sampled == dense
+        for key in ("estimated_live_pairs", "sampled"):
+            assert sp.attrs[key] == getattr(res.stats, key)
+        assert t.counters["numpy.sampled"] == int(dense)
+
     def test_afforest_giant_span(self):
         from repro.generators import load
 

@@ -64,6 +64,26 @@ def test_numpy_matches_serial(g):
     assert np.array_equal(a, b)
 
 
+@st.composite
+def dense_graphs(draw, max_n=40):
+    """Random graphs with 3-6 edges per vertex: about two thirds of them
+    leave Init3 with enough live pairs to take ``ecl_cc_numpy``'s sample
+    branch."""
+    n = draw(st.integers(min_value=8, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=3 * n, max_size=6 * n))
+    return from_edges(edges, num_vertices=n)
+
+
+@given(dense_graphs())
+@SLOW
+def test_numpy_sample_step_matches_serial(g):
+    a, stats = ecl_cc_numpy(g)
+    b, _ = ecl_cc_serial(g)
+    assert np.array_equal(a, b)
+    assert stats.sampled == (stats.estimated_live_pairs >= g.num_vertices)
+
+
 @given(graphs(max_n=24, max_m=60), st.integers(min_value=0, max_value=3))
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_gpu_matches_reference_under_random_schedules(g, seed):
