@@ -230,9 +230,12 @@ def hook_until_fixpoint(
     until every pair is inside one tree: hook each larger root under
     its smallest contender (a valid serialization of ECL-CC's CAS
     races, see :func:`segment_min_hook`), then re-resolve the pairs.
-    On return every endpoint points directly at its root; other
-    vertices may still point at interior vertices, so callers that need
-    labels finish with :func:`flatten_active`.
+    On return no pair spans two trees, but ``parent`` is not flat, not
+    even at the endpoints: a pair that died in an earlier round leaves
+    its endpoints pointing at a root that a later round may re-parent.
+    Callers that need labels finish with :func:`flatten_active`, or
+    with :func:`flatten_subset` over the batch's endpoints when every
+    other vertex already points at one of them or at a root.
 
     Each round picks its regime from the live-pair count it measures
     (never a caller option):

@@ -302,9 +302,11 @@ class Coordinator:
             with tracer.span(
                 "dist:round", category="dist", round=round_, hosts=len(alive)
             ) as sp:
+                t_round = time.perf_counter()
                 for h in sorted(alive):
                     self._send_proceed(h, round_, owners, epochs)
                 reports, dead = self._collect_reports(round_, owners, epochs, alive)
+                self._index_spans(tracer, sp, t_round, reports)
                 suspects = set(dead)
                 reason = {h: "heartbeat timeout" for h in dead}
                 for h, rep in reports.items():
@@ -324,6 +326,21 @@ class Coordinator:
             if round_ > 0 and all(not r["changed"] for r in reports.values()):
                 return
             round_ += 1
+
+    def _index_spans(self, tracer, round_span, t_round: float, reports) -> None:
+        """A ``dist:index`` child of the round span per boundary index a
+        reporting host built this round, stamped with the host's own
+        ``perf_counter`` window (host threads record no spans)."""
+        if not tracer.enabled:
+            return
+        for h in sorted(reports):
+            host = self.hosts[h]
+            builds, host.index_builds = host.index_builds, []
+            for shard, t0, t1 in builds:
+                with tracer.span("dist:index", category="dist", host=h, shard=shard) as s:
+                    pass
+                s.start_ms = round_span.start_ms + (t0 - t_round) * 1e3
+                s.duration_ms = (t1 - t0) * 1e3
 
     def _gather(self, owners: list[int], epochs: list[int]) -> np.ndarray:
         labels = np.empty(self.graph.num_vertices, dtype=np.int64)

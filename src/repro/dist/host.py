@@ -28,6 +28,8 @@ import time
 
 import numpy as np
 
+from ..core.frontier import unique_pairs
+from ..core.kernels import segment_min_starts
 from ..errors import HostCrashError
 from ..graph.csr import CSRGraph
 from ..resilience.faults import FaultEvent, FaultSpec
@@ -68,28 +70,35 @@ class ShardState:
         self.init = init  # local index -> component key (global id)
         self.cur = np.arange(self.start, self.end, dtype=np.int64)
 
+        t0 = time.perf_counter()
         # Incoming: CSR-by-remote-vertex over the cross arcs, so one
         # remote label candidate fans out to its local neighbors with a
-        # couple of slices.
-        order = np.argsort(bv, kind="stable")
-        self._in_u = bu[order]
-        bv_sorted = bv[order]
-        self.ext_verts = np.unique(bv_sorted)
-        self._in_off = np.searchsorted(bv_sorted, self.ext_verts)
-        self._in_off = np.append(self._in_off, bv_sorted.size)
+        # couple of slices.  One composite-key sort orders the arcs by
+        # (bv, bu); ``bu`` arrives non-decreasing (CSR row order), so
+        # each group keeps its CSR order (a repeated arc would collapse,
+        # and fanning a candidate out twice changes nothing).
+        bv_sorted, self._in_u = unique_pairs(bv, bu, n)
+        starts = np.flatnonzero(segment_min_starts(bv_sorted))
+        self.ext_verts = bv_sorted[starts]
+        self._in_off = np.append(starts, bv_sorted.size)
         self.ext_best = np.full(self.ext_verts.size, self._inf, dtype=np.int64)
 
         # Outgoing: per target *shard* (ownership can move between
         # hosts; shards never move), the unique local frontier vertices
-        # and the last label value each was *acknowledged* at.
+        # (a first-of-run mask, as ``bu`` is sorted) and the last label
+        # value each was *acknowledged* at.
         tgt = plan.shard_of(bv)
         self.out_verts: dict[int, np.ndarray] = {}
         self.out_sent: dict[int, np.ndarray] = {}
-        for t in np.unique(tgt).tolist():
-            self.out_verts[t] = np.unique(bu[tgt == t])
+        for t in np.flatnonzero(np.bincount(tgt)).tolist():
+            verts = bu[tgt == t]
+            self.out_verts[t] = verts[segment_min_starts(verts)]
             self.out_sent[t] = np.full(
                 self.out_verts[t].size, self._inf, dtype=np.int64
             )
+        #: ``perf_counter`` stamps around the boundary-index build (the
+        #: coordinator reports it as a ``dist:index`` span).
+        self.index_window = (t0, time.perf_counter())
 
     # -- label access ----------------------------------------------------
     def _slots(self, verts_global: np.ndarray) -> np.ndarray:
@@ -201,6 +210,9 @@ class HostRuntime:
         self._cached_report: Message | None = None
         self._dirty = False
         self._failed_peers: set[int] = set()
+        #: ``(shard, t0, t1)`` per boundary index built since the
+        #: coordinator last drained it (host threads record no spans).
+        self.index_builds: list[tuple[int, float, float]] = []
 
     # -- thread entry ----------------------------------------------------
     def run(self) -> None:
@@ -456,6 +468,7 @@ class HostRuntime:
 
     def _adopt(self, shard: int, epoch: int, round_: int) -> None:
         st = ShardState(self.graph, self.plan, shard)
+        self.index_builds.append((shard, *st.index_window))
         restored = self._load_checkpoint(shard, epoch)
         if restored is not None:
             st.absorb(restored)

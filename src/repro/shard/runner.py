@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..core.ecl_cc_numpy import NumpyRunStats
-from ..core.frontier import flatten_active, hook_until_fixpoint
+from ..core.frontier import flatten_subset, hook_until_fixpoint, unique_pairs
 from ..core.result import CCResult
 from ..graph.csr import CSRGraph
 from ..observe import Span, current_tracer
@@ -141,7 +141,9 @@ class ShardedRunStats:
     """Counters for one sharded run (``CCResult.stats``).
 
     ``export_reused`` is true when the run found the graph's shard
-    export already built, so it sliced nothing."""
+    export already built, so it sliced nothing.  ``merge_pairs`` counts
+    the distinct shard-label pairs the merge hooked (at most
+    ``boundary_edges``)."""
 
     num_shards: int = 0
     workers: int = 0
@@ -152,6 +154,7 @@ class ShardedRunStats:
     shard_arcs: list[int] = field(default_factory=list)
     shard_boundary: list[int] = field(default_factory=list)
     boundary_edges: int = 0
+    merge_pairs: int = 0
     merge_rounds: int = 0
     retries: int = 0
     fallbacks: int = 0
@@ -167,21 +170,35 @@ def merge_boundary(
     boundary_v: np.ndarray,
     stats: ShardedRunStats | None = None,
 ) -> np.ndarray:
-    """Merge shard-local min-member labels across boundary arcs.
+    """Merge flat shard-local labels across boundary arcs.
 
-    ``labels`` is mutated in place and returned.  The boundary arcs are
-    hooked to a fixpoint by
-    :func:`~repro.core.frontier.hook_until_fixpoint` (the frontier
-    formulation's hook loop, so the same benign-race serialization
-    argument applies; ``stats.merge_rounds`` counts its hook rounds), and
-    the final :func:`flatten_active` resolves every vertex to its global
-    component minimum.
+    ``labels`` must be flat (every vertex points at a root, as the
+    shard-local min-member labels do); it is mutated in place and
+    returned.  A hook only ever joins two roots, so an arc counts only
+    as the pair of labels it joins: the arcs' label pairs are
+    deduplicated by :func:`~repro.core.frontier.unique_pairs` (arcs may
+    come in either orientation) and only the distinct pairs are hooked
+    to a fixpoint by :func:`~repro.core.frontier.hook_until_fixpoint`
+    (the frontier formulation's hook loop, so the same benign-race
+    serialization argument applies; ``stats.merge_rounds`` counts its
+    hook rounds and ``stats.merge_pairs`` the distinct pairs).
+
+    Every root the hooks re-parent is a pair endpoint, but the hook loop
+    leaves some endpoints pointing at interior vertices, so the
+    endpoints are flattened first; then one gather
+    ``labels[labels]`` resolves every vertex to its global component
+    minimum.
     """
+    # Boundary arcs run from a lower shard to a higher one, so the pairs
+    # arrive as (high label, low label) and each appears in one order.
+    hi, lo = unique_pairs(labels[boundary_v], labels[boundary_u], labels.size)
     rounds = NumpyRunStats()
-    hook_until_fixpoint(labels, boundary_u, boundary_v, stats=rounds)
+    hook_until_fixpoint(labels, hi, lo, flat=True, stats=rounds)
     if stats is not None:
         stats.merge_rounds += rounds.hook_rounds
-    flatten_active(labels)
+        stats.merge_pairs += int(hi.size)
+    flatten_subset(labels, np.concatenate((hi, lo)))
+    labels[:] = labels[labels]
     return labels
 
 
@@ -318,10 +335,11 @@ class ShardedExecutor:
             boundary_edges=int(bu.size),
         ) as span:
             merge_boundary(labels, bu, bv, stats)
-            span.set("merge_rounds", stats.merge_rounds)
+            span.update(label_pairs=stats.merge_pairs, merge_rounds=stats.merge_rounds)
         timings["merge_ms"] = (time.perf_counter() - t0) * 1e3
         if tracer.enabled:
             tracer.gauge("shard.boundary_edges", bu.size)
+            tracer.gauge("shard.merge_pairs", stats.merge_pairs)
             tracer.count("shard.runs")
 
         recovery.verified = False

@@ -69,19 +69,26 @@ class TestParallelFor:
         assert r.span_s <= r.work_s + 1e-12
         assert r.modeled_s >= 0
 
-    def test_more_threads_lower_span(self):
-        import time
+    def test_more_threads_lower_span(self, monkeypatch):
+        # The pool reads a fake clock that each body call advances by
+        # 0.2 ms, so the spans are exact: all 32 chunks on one thread,
+        # two chunks on each of 16.
+        from types import SimpleNamespace
 
-        def slow_body(start, stop):
-            t_end = time.perf_counter() + 0.0002
-            while time.perf_counter() < t_end:
-                pass
+        from repro.cpusim import pool as pool_module
+
+        now = [0.0]
+        monkeypatch.setattr(pool_module, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+        def body(start, stop):
+            now[0] += 0.0002
 
         small = VirtualThreadPool(CpuSpec("s", 1))
         big = VirtualThreadPool(CpuSpec("b", 16))
-        small.parallel_for(32, slow_body, schedule="static", chunk=1)
-        big.parallel_for(32, slow_body, schedule="static", chunk=1)
-        assert big.regions[0].span_s < small.regions[0].span_s
+        small.parallel_for(32, body, schedule="static", chunk=1)
+        big.parallel_for(32, body, schedule="static", chunk=1)
+        assert small.regions[0].span_s == pytest.approx(32 * 0.0002)
+        assert big.regions[0].span_s == pytest.approx(2 * 0.0002)
 
     def test_modeled_time_accumulates(self):
         pool = VirtualThreadPool(CpuSpec("t", 2))

@@ -140,6 +140,55 @@ class TestShardSolve:
         assert set(zip(bu.tolist(), bv.tolist())) == {(2, 1)}
 
 
+def _reference_index(graph, plan, shard):
+    """The boundary index built the way it was before the one-sort
+    build: a stable argsort by remote vertex plus ``np.unique``."""
+    from repro.shard.worker import solve_slice_all_arcs
+
+    start, end = plan.range_of(shard)
+    rp = graph.row_ptr[start : end + 1]
+    _, bu, bv = solve_slice_all_arcs(rp, graph.col_idx[rp[0] : rp[-1]], start, end)
+    order = np.argsort(bv, kind="stable")
+    bv_sorted = bv[order]
+    ext = np.unique(bv_sorted)
+    off = np.append(np.searchsorted(bv_sorted, ext), bv_sorted.size)
+    tgt = plan.shard_of(bv)
+    out = {t: np.unique(bu[tgt == t]) for t in np.unique(tgt).tolist()}
+    return bu[order], ext, off, out
+
+
+class TestBoundaryIndex:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_sort_index_matches_argsort_reference(self, seed):
+        from repro.shard.partition import make_plan
+
+        rng = np.random.default_rng(seed)
+        n = 400
+        g = from_edges(rng.integers(0, n, size=(900, 2)), num_vertices=n)
+        plan = make_plan(g, 3, "range")
+        for shard in range(plan.num_shards):
+            st_ = ShardState(g, plan, shard)
+            in_u, ext, off, out = _reference_index(g, plan, shard)
+            assert st_._in_u.tolist() == in_u.tolist()
+            assert st_.ext_verts.tolist() == ext.tolist()
+            assert st_._in_off.tolist() == off.tolist()
+            assert st_.targets() == sorted(out)
+            for t, verts in out.items():
+                assert st_.out_verts[t].tolist() == verts.tolist()
+
+    def test_index_build_is_a_round_span(self):
+        from repro.observe import Tracer
+
+        g = load("rmat16.sym", "tiny")
+        with Tracer() as t:
+            dist_cc(g, hosts=3, **FAST)
+        index = t.find_spans(name="dist:index")
+        assert sorted(s.attrs["shard"] for s in index) == [0, 1, 2]
+        round0 = [s for s in t.find_spans(name="dist:round") if s.attrs["round"] == 0]
+        assert all(s.parent == round0[0].index for s in index)
+        assert all(0 <= s.duration_ms <= round0[0].duration_ms for s in index)
+
+
 def _loop_apply_remote(state, verts, labels):
     """``ShardState.apply_remote`` as a per-vertex loop (the formulation
     the vectorized one replaced), on the same state."""

@@ -285,6 +285,34 @@ class TestHookUntilFixpoint:
         assert np.array_equal(_flatten_reference(got), _flatten_reference(expected))
         assert stats.edges_scanned == u.size + sum(stats.frontier_sizes)
 
+    @given(forest_and_batch())
+    @settings(max_examples=200, deadline=None)
+    def test_post_condition_no_pair_spans_two_trees(self, case):
+        """What holds on return: every pair is inside one tree, and a
+        flatten over the endpoints alone resolves them.  From a flat
+        forest every hooked root is an endpoint, so one gather then
+        yields the labels of the union."""
+        parent, u, v = case
+        flat = _flatten_reference(parent)
+        got = flat.copy()
+        hook_until_fixpoint(got, u, v, flat=True)
+        roots = _flatten_reference(got)
+        assert np.array_equal(roots[u], roots[v])
+        ends = np.concatenate((u, v))
+        flatten_subset(got, ends)
+        assert np.array_equal(got[ends], roots[ends])
+        assert np.array_equal(got[got], _union_oracle(parent, u, v))
+
+    def test_endpoints_of_dead_pairs_may_point_at_interior_vertices(self):
+        # Round 1 hooks 2 -> 0 and 3 -> 1, which kills (1, 3); round 2
+        # hooks 1 -> 0, so endpoint 3 is left pointing at interior 1.
+        parent = np.arange(4, dtype=np.int64)
+        u, v = np.array([0, 1, 1]), np.array([2, 3, 2])
+        assert hook_until_fixpoint(parent, u, v, flat=True) == 3
+        assert parent.tolist() == [0, 0, 0, 1]
+        flatten_subset(parent, np.concatenate((u, v)))
+        assert parent.tolist() == [0, 0, 0, 0]
+
     def test_empty_batch_is_a_noop(self):
         parent = np.array([0, 0, 1, 3, 3, 4], dtype=np.int64)
         before = parent.copy()

@@ -36,6 +36,7 @@ from repro.shard import (
     PARTITIONERS,
     ShardPlan,
     ShardedExecutor,
+    ShardedRunStats,
     export_segments,
     leaked_shared_segments,
     make_plan,
@@ -215,6 +216,107 @@ class TestLocalSolve:
         bu = np.arange(n - 1)
         bv = np.arange(1, n)
         assert merge_boundary(labels, bu, bv).tolist() == [0] * n
+
+
+# ----------------------------------------------------------------------
+# The boundary merge on its own
+# ----------------------------------------------------------------------
+@st.composite
+def graph_and_plan(draw):
+    """A random graph plus a plan: a K-shard range split (K in 1, 2, 4,
+    7), arbitrary cuts with empty shards, or singleton shards, under
+    which every edge crosses."""
+    n = draw(st.integers(1, 40))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    g = from_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2), num_vertices=n)
+    kind = draw(st.sampled_from(["range", "cuts", "singletons"]))
+    if kind == "range":
+        plan = make_plan(g, draw(st.sampled_from([1, 2, 4, 7])), "range")
+    elif kind == "cuts":
+        cuts = draw(st.lists(st.integers(0, n), min_size=1, max_size=8))
+        plan = ShardPlan(np.asarray([0, *sorted(cuts), n]))
+    else:
+        plan = ShardPlan(np.arange(n + 1))
+    return g, plan
+
+
+def _local_solve(g, plan):
+    """Shard-local min-member labels and the boundary arcs, as the
+    sharded backend's workers produce them."""
+    labels, bu, bv = [], [], []
+    for s, e in plan.ranges():
+        rp = g.row_ptr[s : e + 1]
+        lab, u, v = solve_csr_slice(rp, g.col_idx[int(rp[0]) : int(rp[-1])], s, e)
+        labels.append(lab)
+        bu.append(u)
+        bv.append(v)
+    return tuple(np.concatenate(a).astype(np.int64) for a in (labels, bu, bv))
+
+
+class TestMergeBoundary:
+    @given(graph_and_plan())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_labels(self, case):
+        g, plan = case
+        labels, bu, bv = _local_solve(g, plan)
+        pairs = set(zip(labels[bu].tolist(), labels[bv].tolist()))
+        stats = ShardedRunStats()
+        assert np.array_equal(merge_boundary(labels, bu, bv, stats), reference_labels(g))
+        assert stats.merge_pairs == len(pairs) <= bu.size
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_flat_labels_and_arc_orientation(self, data):
+        # Flat labels that need not come from a local solve (any
+        # vertex-to-smaller-root map), and arcs drawn in either
+        # orientation: the result is the components of the union.
+        n = data.draw(st.integers(1, 40))
+        roots = np.empty(n, dtype=np.int64)
+        for x in range(n):
+            r = data.draw(st.integers(0, x))
+            roots[x] = roots[r] if r < x else x
+        arcs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+        )
+        u = np.asarray([a for a, _ in arcs], dtype=np.int64)
+        v = np.asarray([b for _, b in arcs], dtype=np.int64)
+        edges = np.concatenate(
+            [np.stack([np.arange(n), roots], axis=1), np.stack([u, v], axis=1)]
+        )
+        want = reference_labels(from_edges(edges, num_vertices=n))
+        assert np.array_equal(merge_boundary(roots.copy(), u, v), want)
+
+    def test_seven_shard_chain_needs_the_endpoint_flatten(self):
+        # The path 1-6-2-4-3-5-0 over seven singleton shards.  Its hooks
+        # leave endpoint 3 two hops from the root, so resolving labels
+        # with one gather and no flatten of the endpoints gives vertex 4
+        # label 1.
+        path = [1, 6, 2, 4, 3, 5, 0]
+        g = from_edges(np.array(list(zip(path, path[1:]))), num_vertices=7)
+        labels, bu, bv = _local_solve(g, make_plan(g, 7, "range"))
+        assert labels.tolist() == list(range(7))
+        assert merge_boundary(labels, bu, bv).tolist() == [0] * 7
+        res = connected_components(g, backend="sharded", workers=7)
+        assert res.labels.tolist() == [0] * 7
+
+    def test_merge_pairs_counts_distinct_label_pairs(self):
+        # Two 4-cliques joined by five edges, all between local labels
+        # 0 and 4, plus a third shard {8, 9} reached from both: eight
+        # boundary edges, three distinct label pairs.
+        edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        edges += [(a + 4, b + 4) for a, b in edges]
+        edges += [(0, 4), (1, 5), (2, 6), (3, 7), (0, 5), (8, 9), (3, 8), (2, 9), (7, 9)]
+        g = from_edges(np.array(edges))
+        plan = ShardPlan(np.array([0, 4, 8, 10]))
+        with Tracer() as t:
+            res = connected_components(g, backend="sharded", partitioner=plan)
+        assert res.labels.tolist() == [0] * 10
+        assert (res.stats.boundary_edges, res.stats.merge_pairs) == (8, 3)
+        (merge,) = t.find_spans(name="shard:merge")
+        assert merge.attrs["label_pairs"] == 3
+        assert ("shard.merge_pairs", 3.0) in {(g_[1], g_[2]) for g_ in t.gauges}
 
 
 # ----------------------------------------------------------------------
